@@ -49,11 +49,7 @@ from .studies import (
 )
 from .transport import (
     ExactTransport,
-    diag_derivative,
-    invert_cdf,
     invert_monotone,
-    kr_forward,
-    kr_inverse,
     pullback_density,
     pushforward_density,
 )
@@ -80,7 +76,6 @@ __all__ = [
     "convergence_study",
     "density_from_config",
     "det_product_bound",
-    "diag_derivative",
     "distance_report",
     "enumerate_lambda",
     "fit_component",
@@ -90,11 +85,8 @@ __all__ = [
     "gaussian_posterior",
     "hellinger",
     "integrate",
-    "invert_cdf",
     "invert_monotone",
     "kl_divergence",
-    "kr_forward",
-    "kr_inverse",
     "linear_density",
     "marginal_hat",
     "posterior_demo",

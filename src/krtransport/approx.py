@@ -20,8 +20,13 @@ import numpy as np
 from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
 from .polybasis import SparsePolynomial, project, zero_polynomial
-from .quadrature import TensorGrid, gauss_legendre, tensor_grid
-from .transport import ExactTransport, invert_monotone
+from .quadrature import (
+    TensorGrid,
+    gauss_legendre,
+    integrate_from_minus_one,
+    tensor_grid,
+)
+from .transport import DEFAULT_ROOT_TOL, ExactTransport, invert_monotone
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
@@ -98,10 +103,9 @@ class RationalComponent:
     def is_identity(self) -> bool:
         return not self.p.terms
 
-    def _rule(self):
+    def _n_nodes(self) -> int:
         # (1 + p)^2 has degree <= 2*maxdeg in t; maxdeg+1 nodes are exact
-        deg_t = self.p.max_degree_per_dim()[-1] if self.p.terms else 0
-        return gauss_legendre(deg_t + 1)
+        return (self.p.max_degree_per_dim()[-1] if self.p.terms else 0) + 1
 
     def _sq(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
         """(1 + p)^2 at stacked (prefix, t) points; prefix (m,k-1), t (m,)."""
@@ -115,7 +119,7 @@ class RationalComponent:
         m = prefix.shape[0]
         if self.is_identity:
             return np.full(m, 2.0)
-        rule = self._rule()
+        rule = gauss_legendre(self._n_nodes())
         n = rule.n
         rep = np.repeat(prefix, n, axis=0)
         tt = np.tile(rule.nodes, m)
@@ -135,15 +139,14 @@ class RationalComponent:
             return x[:, -1].copy()
         prefix, xk = x[:, :-1], x[:, -1]
         c = self.normalization(prefix)
-        rule = self._rule()
-        n = rule.n
-        m = x.shape[0]
-        half = 0.5 * (xk + 1.0)
-        s = -1.0 + np.outer(half, rule.nodes + 1.0)
-        rep = np.repeat(prefix, n, axis=0)
-        g = self._sq(rep, s.ravel()).reshape(m, n)
-        integral = (xk + 1.0) * (g @ rule.weights)
-        return -1.0 + 2.0 * integral / c
+
+        def sq(s):
+            rep = np.repeat(prefix, s.shape[1], axis=0)
+            return self._sq(rep, s.ravel()).reshape(s.shape)
+
+        # half the Lebesgue integral of (1 + p)^2 over [-1, x_k]
+        half_integral = integrate_from_minus_one(sq, xk, self._n_nodes())
+        return -1.0 + 2.0 * (2.0 * half_integral) / c
 
     def deriv(self, x) -> np.ndarray:
         """d/dx_k Tt_k = 2 (1 + p)^2 / c_k >= 0."""
@@ -154,7 +157,7 @@ class RationalComponent:
         c = self.normalization(prefix)
         return 2.0 * self._sq(prefix, xk) / c
 
-    def invert(self, prefix, y, tol: float = 1e-12) -> np.ndarray:
+    def invert(self, prefix, y) -> np.ndarray:
         """t with Tt_k(prefix, t) = y, by monotone root-finding."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -167,7 +170,8 @@ class RationalComponent:
         def dF(t):
             return self.deriv(np.concatenate([prefix, t.reshape(-1, 1)], axis=1))
 
-        return invert_monotone(F, np.clip(y, -1.0, 1.0), fprime=dF, tol=tol)
+        return invert_monotone(F, np.clip(y, -1.0, 1.0), fprime=dF,
+                               tol=DEFAULT_ROOT_TOL)
 
     def to_json(self) -> dict:
         out = {"k": self.k, "p_coeffs": self.p.to_json()}
@@ -182,21 +186,13 @@ class RationalComponent:
                    lam=lam)
 
 
-def fit_component(
-    transport: ExactTransport,
-    k: int,
-    lam: IndexSet,
-    grid: TensorGrid | None = None,
-    margin: int = DEFAULT_MARGIN,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> RationalComponent:
+def fit_component(transport: ExactTransport, k: int,
+                  lam: IndexSet) -> RationalComponent:
     """Project sqrt(d/dx_k T_k) - 1 onto the index set to get p_k."""
     if not lam.members:
         return RationalComponent(k=k, p=zero_polynomial(k), lam=lam)
-    if grid is None:
-        b = transport.target.anisotropy or transport.reference.anisotropy
-        grid = projection_grid(lam, margin=margin, node_budget=node_budget,
-                               anisotropy=b[:k] if b else None)
+    b = transport.target.anisotropy or transport.reference.anisotropy
+    grid = projection_grid(lam, anisotropy=b[:k] if b else None)
     target = sqrt_shift_target(transport, k)
     p = project(target, lam, grid)
     return RationalComponent(k=k, p=p, lam=lam)
@@ -294,8 +290,6 @@ def build_approx_transport(
     xi: WeightVector,
     epsilon: float,
     exact: ExactTransport | None = None,
-    margin: int = DEFAULT_MARGIN,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     d: int | None = None,
 ) -> ApproxTransport:
     """Fit all components on Lambda_{k,epsilon}, k = 1..d."""
@@ -306,9 +300,7 @@ def build_approx_transport(
     comps = []
     for k in range(1, d + 1):
         lam = enumerate_lambda(xi.prefix(k), epsilon)
-        comps.append(
-            fit_component(exact, k, lam, margin=margin, node_budget=node_budget)
-        )
+        comps.append(fit_component(exact, k, lam))
     return ApproxTransport(
         components=tuple(comps), epsilon=epsilon, xi=tuple(xi.xi[:d])
     )

@@ -13,7 +13,6 @@ emitted as a JSON object on stderr.
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from .indexsets import WeightVector, xi_from_anisotropy
 from .metrics import distance_report, pullback_distance
 from .quadrature import uniform_grid
 from .studies import (
+    _distance_grid_order,
     convergence_study,
     posterior_demo,
     records_to_csv,
@@ -83,11 +83,9 @@ def _density(spec, what: str) -> Density:
 
 
 def _weights(spec, target: Density) -> WeightVector:
-    if isinstance(spec, list):
-        return WeightVector(tuple(float(x) for x in spec))
     if isinstance(spec, dict):
         sub = _Config(spec)
-        alpha = float(sub.take("alpha", 1.0))
+        alpha = sub.take("alpha", 1.0)
         b = sub.take("anisotropy", None)
         sub.finish()
         if b is None:
@@ -96,8 +94,14 @@ def _weights(spec, target: Density) -> WeightVector:
                     "xi.anisotropy omitted and target density has none"
                 )
             b = target.anisotropy
-        return xi_from_anisotropy(b, alpha)
-    raise ConfigError("xi must be a list of weights or an object")
+    elif not isinstance(spec, list):
+        raise ConfigError("xi must be a list of weights or an object")
+    try:
+        if isinstance(spec, list):
+            return WeightVector(tuple(float(x) for x in spec))
+        return xi_from_anisotropy(b, float(alpha))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"bad xi spec: {e}") from e
 
 
 def _read_points(cfg: _Config, d: int) -> np.ndarray:
@@ -117,8 +121,8 @@ def _read_points(cfg: _Config, d: int) -> np.ndarray:
     arr = np.asarray(pts, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ConfigError(f"points must be an (m, {d}) array")
-    if np.any(np.abs(arr) > 1.0):
-        raise ConfigError("points must lie in [-1, 1]^d")
+    if not np.all(np.abs(arr) <= 1.0):
+        raise ConfigError("points must be finite and lie in [-1, 1]^d")
     return arr
 
 
@@ -189,7 +193,7 @@ def _cmd_distance(cfg: _Config, out_dir: Path, seed):
         with open(map_file) as fh:
             tmap = ApproxTransport.from_json(json.load(fh))
         d = target.d
-        grid = uniform_grid(int(grid_order or (30 if d <= 3 else 15)), d)
+        grid = uniform_grid(int(grid_order or _distance_grid_order(d)), d)
         report = pullback_distance(
             InverseTriangularMap(tmap), reference, target, grid
         )
@@ -198,7 +202,7 @@ def _cmd_distance(cfg: _Config, out_dir: Path, seed):
         g = _density(cfg.take("g"), "g")
         if f.d != g.d:
             raise ConfigError("densities have different dimensions")
-        grid = uniform_grid(int(grid_order or (30 if f.d <= 3 else 15)), f.d)
+        grid = uniform_grid(int(grid_order or _distance_grid_order(f.d)), f.d)
         report = distance_report(f, g, f.d, grid, oversample_tv=True)
     cfg.finish()
     path = _write_json(out_dir, "distance.json", report.to_json())
@@ -317,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="numba thread count (env KRT_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
     t = sub.add_parser("transport")
     t.add_argument("action", choices=["eval"])
@@ -331,25 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _set_threads(n):
-    env = os.environ.get("KRT_THREADS")
-    if env:
-        n = int(env)
-    if n is None:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, n))
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
     # parse_args exits with code 2 on bad flags, matching the config exit code
     args = build_parser().parse_args(argv)
     try:
-        _set_threads(args.threads)
         cfg = _Config(_load_config(args.config))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -132,10 +132,11 @@ def gaussian_posterior(A, varsigma, sigma: float) -> Density:
     )
 
 
-def marginal_hat(f: Density, k: int, x, order: int = DEFAULT_MARGINAL_ORDER):
+def marginal_hat(f: Density, k: int, x):
     """hat f_k(x) = integral of f over the trailing d-k coordinates (mu).
 
-    x has shape (m, k); uses the closed-form oracle when available.
+    x has shape (m, k); uses the closed-form oracle when available and a
+    DEFAULT_MARGINAL_ORDER-point tensor rule otherwise.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not (0 <= k <= f.d):
@@ -146,7 +147,7 @@ def marginal_hat(f: Density, k: int, x, order: int = DEFAULT_MARGINAL_ORDER):
         return np.asarray(f.marginal_oracle(k, x), dtype=np.float64)
     if k == f.d:
         return f.evaluate(x)
-    pts, w = uniform_grid(order, f.d - k).points_weights()
+    pts, w = uniform_grid(DEFAULT_MARGINAL_ORDER, f.d - k).points_weights()
     m, nt = x.shape[0], pts.shape[0]
     out = np.empty(m)
     # block over query points so the (m*nt, d) scratch stays bounded
@@ -161,13 +162,13 @@ def marginal_hat(f: Density, k: int, x, order: int = DEFAULT_MARGINAL_ORDER):
     return out
 
 
-def conditional(f: Density, k: int, x, order: int = DEFAULT_MARGINAL_ORDER):
+def conditional(f: Density, k: int, x):
     """f_k(x) = hat f_k(x) / hat f_{k-1}(x_[k-1]), the conditional density."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not (1 <= k <= f.d):
         raise ValueError(f"k must be in [1, {f.d}], got {k}")
-    num = marginal_hat(f, k, x, order=order)
-    den = marginal_hat(f, k - 1, x[:, : k - 1], order=order)
+    num = marginal_hat(f, k, x)
+    den = marginal_hat(f, k - 1, x[:, : k - 1])
     if np.any(den <= 0):
         raise ValueError("non-positive marginal encountered")
     return num / den

@@ -9,7 +9,7 @@ is empty whenever 1/xi_k < eps.
 import math
 from dataclasses import dataclass
 
-from .polybasis import canon, grlex_key, padded
+from .polybasis import canon, grlex_key, max_degree_per_dim, padded
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class WeightVector:
 
     def prefix(self, k: int) -> "WeightVector":
         return WeightVector(self.xi[:k])
-
-
-def weights(xs) -> WeightVector:
-    return WeightVector(tuple(float(x) for x in xs))
 
 
 def xi_from_anisotropy(b, alpha: float = 1.0) -> WeightVector:
@@ -73,11 +69,7 @@ class IndexSet:
         return canon(nu) in set(self.members)
 
     def max_degree_per_dim(self) -> list[int]:
-        out = [0] * self.k
-        for nu in self.members:
-            for j, v in enumerate(nu):
-                out[j] = max(out[j], v)
-        return out
+        return max_degree_per_dim(self.members, self.k)
 
     def to_json(self) -> dict:
         return {"k": self.k, "epsilon": self.epsilon, "nus": [list(padded(nu, self.k)) for nu in self.members]}

@@ -1,26 +1,20 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels: orthonormal Legendre tables and sparse tensor-Legendre
+evaluation, in plain numpy.
 
-Set the environment variable ``KRT_NO_NUMBA=1`` before import to force the
-numpy code path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``). Both implementations are always importable
-as ``*_numpy`` / ``*_numba``; the dispatched names (``legendre_table``,
-``poly_eval_tables``) pick one at import time.
+``perfbench/kernels_micro.py`` times both kernels and states their
+operation and byte counts.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "legendre_table",
-    "legendre_table_numpy",
-    "poly_eval_tables",
-    "poly_eval_tables_numpy",
-]
+__all__ = ["NUMBA_ENABLED", "legendre_table", "poly_eval_tables"]
+
+# There is no compiled path; perfbench/run.py and perfbench/kernels_micro.py
+# read this flag to record the kernel provenance of a run.
+NUMBA_ENABLED = False
 
 
-def legendre_table_numpy(x: np.ndarray, nmax: int) -> np.ndarray:
+def legendre_table(x: np.ndarray, nmax: int) -> np.ndarray:
     """Orthonormal Legendre values L_0(x)..L_nmax(x), shape (len(x), nmax+1).
 
     L_n = sqrt(2n+1) * P_n with P_n the classical Legendre polynomial, so
@@ -39,7 +33,7 @@ def legendre_table_numpy(x: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-def poly_eval_tables_numpy(
+def poly_eval_tables(
     tables: np.ndarray, exps: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
     """Evaluate a sparse tensor-Legendre polynomial from per-dim value tables.
@@ -59,65 +53,3 @@ def poly_eval_tables_numpy(
                 term = term * tables[:, j, n]
         out += term
     return out
-
-
-NUMBA_ENABLED = os.environ.get("KRT_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def legendre_table_numba(x, nmax):
-        npts = x.shape[0]
-        out = np.empty((npts, nmax + 1))
-        for i in range(npts):
-            out[i, 0] = 1.0
-        if nmax >= 1:
-            for i in range(npts):
-                out[i, 1] = x[i]
-        for n in range(1, nmax):
-            a = 2.0 * n + 1.0
-            for i in range(npts):
-                out[i, n + 1] = (a * x[i] * out[i, n] - n * out[i, n - 1]) / (n + 1.0)
-        for n in range(nmax + 1):
-            s = np.sqrt(2.0 * n + 1.0)
-            for i in range(npts):
-                out[i, n] *= s
-        return out
-
-    @njit(cache=True)
-    def poly_eval_tables_numba(tables, exps, coeffs):
-        npts = tables.shape[0]
-        nterms = exps.shape[0]
-        k = exps.shape[1]
-        out = np.zeros(npts)
-        for i in range(npts):
-            acc = 0.0
-            for t in range(nterms):
-                term = coeffs[t]
-                for j in range(k):
-                    n = exps[t, j]
-                    if n > 0:
-                        term *= tables[i, j, n]
-                acc += term
-            out[i] = acc
-        return out
-
-    def legendre_table(x, nmax):
-        return legendre_table_numba(np.ascontiguousarray(x, dtype=np.float64), nmax)
-
-    def poly_eval_tables(tables, exps, coeffs):
-        return poly_eval_tables_numba(
-            np.ascontiguousarray(tables),
-            np.ascontiguousarray(exps, dtype=np.int64),
-            np.ascontiguousarray(coeffs, dtype=np.float64),
-        )
-
-else:
-    legendre_table = legendre_table_numpy
-    poly_eval_tables = poly_eval_tables_numpy

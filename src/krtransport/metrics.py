@@ -11,9 +11,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .quadrature import TensorGrid, gauss_legendre, tensor_grid
+from .quadrature import (
+    TensorGrid,
+    gauss_legendre,
+    integrate_from_minus_one,
+    tensor_grid,
+)
 
-_KL_FLOOR = 0.0
+W1_CDF_ORDER = 64
 
 
 def _as_fn(f):
@@ -80,18 +85,16 @@ def wasserstein1_bound(f, g, d: int, grid: TensorGrid) -> float:
     return 2.0 * math.sqrt(d) * total_variation(f, g, grid)
 
 
-def wasserstein1(f, g, d: int, grid: TensorGrid, cdf_order: int = 64):
+def wasserstein1(f, g, d: int, grid: TensorGrid):
     """(value, is_exact). Exact CDF formula for d = 1; diam*TV bound else."""
     if d == 1:
-        outer = gauss_legendre(cdf_order)
-        inner = gauss_legendre(cdf_order)
+        outer = gauss_legendre(W1_CDF_ORDER)
         ff, gg = _as_fn(f), _as_fn(g)
 
         def cdf(fn, t):
-            half = 0.5 * (t + 1.0)
-            s = -1.0 + np.outer(half, inner.nodes + 1.0)
-            vals = fn(s.reshape(-1, 1)).reshape(len(t), inner.n)
-            return half * (vals @ inner.weights)
+            return integrate_from_minus_one(
+                lambda s: fn(s.reshape(-1, 1)).reshape(s.shape), t, W1_CDF_ORDER
+            )
 
         gap = np.abs(cdf(ff, outer.nodes) - cdf(gg, outer.nodes))
         # outer weights are mu-normalized; Lebesgue measure of [-1,1] is 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import legendre_table, poly_eval_tables
-from .quadrature import TensorGrid, tensor_grid
+from .quadrature import TensorGrid
 
 
 def canon(nu) -> tuple:
@@ -40,6 +40,15 @@ def legendre_1d(n: int, x):
     return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 
+def max_degree_per_dim(nus, k: int) -> list[int]:
+    """Largest exponent of each of the k coordinates over the multiindices."""
+    out = [0] * k
+    for nu in nus:
+        for j, v in enumerate(nu):
+            out[j] = max(out[j], v)
+    return out
+
+
 def sup_norm_bound(nu) -> float:
     """prod_j (1+2 nu_j)^(1/2), the sup norm of the tensor basis function."""
     return math.prod(math.sqrt(1.0 + 2.0 * v) for v in nu)
@@ -62,11 +71,7 @@ class SparsePolynomial:
         return max((max(nu) for nu in self.terms if nu), default=0)
 
     def max_degree_per_dim(self) -> list[int]:
-        out = [0] * self.dim
-        for nu in self.terms:
-            for j, v in enumerate(nu):
-                out[j] = max(out[j], v)
-        return out
+        return max_degree_per_dim(self.terms, self.dim)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
@@ -116,15 +121,6 @@ def zero_polynomial(dim: int) -> SparsePolynomial:
     return SparsePolynomial(dim, {})
 
 
-def default_projection_grid(index_set, margin: int = 10) -> TensorGrid:
-    """Per-dimension order = max degree in the set + margin."""
-    maxdeg = [0] * index_set.k
-    for nu in index_set.members:
-        for j, v in enumerate(nu):
-            maxdeg[j] = max(maxdeg[j], v)
-    return tensor_grid([m + margin for m in maxdeg])
-
-
 def project(f, index_set, grid: TensorGrid, min_margin: int = 1) -> SparsePolynomial:
     """Quadrature projection of f onto span{L_nu : nu in index_set}.
 
@@ -138,10 +134,7 @@ def project(f, index_set, grid: TensorGrid, min_margin: int = 1) -> SparsePolyno
     members = list(index_set.members)
     if not members:
         return zero_polynomial(k)
-    maxdeg = [0] * k
-    for nu in members:
-        for j, v in enumerate(nu):
-            maxdeg[j] = max(maxdeg[j], v)
+    maxdeg = max_degree_per_dim(members, k)
     for j, rule in enumerate(grid.rules):
         if rule.n < maxdeg[j] + min_margin:
             raise ValueError(

@@ -65,6 +65,18 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes, weights)
 
 
+def integrate_from_minus_one(fn, t, n: int) -> np.ndarray:
+    """(1/2) * integral_{-1}^{t_i} g(s) ds for each t_i, by an n-point rule.
+
+    The rule is mapped onto [-1, t_i] per point: fn receives the (m, n)
+    array of mapped nodes and returns g at those nodes, same shape.
+    """
+    rule = gauss_legendre(n)
+    half = 0.5 * (t + 1.0)
+    s = -1.0 + np.outer(half, rule.nodes + 1.0)
+    return half * (fn(s) @ rule.weights)
+
+
 @dataclass(frozen=True)
 class TensorGrid:
     """Tensor product of per-dimension rules; product weights sum to 1."""

@@ -16,7 +16,6 @@ from .approx import (
     ApproxTransport,
     InverseTriangularMap,
     build_approx_transport,
-    fit_component,
     projection_grid,
 )
 from .density import Density, conditional, gaussian_posterior, linear_density, uniform
@@ -144,6 +143,24 @@ def _distance_grid_order(d: int) -> int:
     return 30 if d <= 3 else 15
 
 
+def _record(eps, approx: ApproxTransport, sup_t: float, sup_dt: float,
+            dist: DistanceReport | None, t0: float, clock) -> SweepRecord:
+    """The SweepRecord of one epsilon; wall time runs from t0 to now."""
+    cards = tuple(len(c.lam) for c in approx.components)
+    k_eff = max((k + 1 for k, n in enumerate(cards) if n > 0), default=0)
+    wall = ((clock() - t0) * 1000.0) if clock else 0.0
+    return SweepRecord(
+        epsilon=float(eps),
+        n_eps=approx.n_eps,
+        per_k_cards=cards,
+        k_eff=k_eff,
+        sup_err_T=sup_t,
+        sup_err_dT=sup_dt,
+        distances=dist,
+        wall_ms=wall,
+    )
+
+
 def convergence_study(
     rho: Density,
     pi: Density,
@@ -171,8 +188,6 @@ def convergence_study(
         t0 = clock() if clock else 0.0
         rng = rng_from_seed(seed)
         approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
-        cards = tuple(len(c.lam) for c in approx.components)
-        k_eff = max((k + 1 for k in range(d) if cards[k] > 0), default=0)
         sup_t = sup_dt = 0.0
         for k in range(1, d + 1):
             pts = _sample_points(rng, k, n_cloud, approx.components[k - 1])
@@ -184,19 +199,7 @@ def convergence_study(
             if with_distances
             else None
         )
-        wall = ((clock() - t0) * 1000.0) if clock else 0.0
-        records.append(
-            SweepRecord(
-                epsilon=float(eps),
-                n_eps=approx.n_eps,
-                per_k_cards=cards,
-                k_eff=k_eff,
-                sup_err_T=sup_t,
-                sup_err_dT=sup_dt,
-                distances=dist,
-                wall_ms=wall,
-            )
-        )
+        records.append(_record(eps, approx, sup_t, sup_dt, dist, t0, clock))
     errs = [r.sup_err_T for r in records]
     if max(errs, default=0.0) <= ERROR_FLOOR:
         fit = RateFit("exponential", math.nan, math.nan, math.nan, 0,
@@ -233,9 +236,6 @@ def truncation_study(
         t0 = clock() if clock else 0.0
         rng = rng_from_seed(seed)
         approx = build_approx_transport(rho, pi, xi, eps, exact=exact, d=d_max)
-        cards = tuple(len(comp.lam) for comp in approx.components)
-        k_eff = max((k + 1 for k, comp in enumerate(approx.components)
-                     if cards[k] > 0), default=0)
         pts = rng.uniform(-1.0, 1.0, size=(n_cloud, d_max))
         y_exact = exact.forward(pts)
         agg_t = agg_dt = 0.0
@@ -248,19 +248,7 @@ def truncation_study(
             d_ap = approx.diag_deriv(k, xk)
             agg_t += float(np.max(np.abs(y_exact[:, k - 1] - t_ap)))
             agg_dt += float(np.max(np.abs(d_ex - d_ap)))
-        wall = ((clock() - t0) * 1000.0) if clock else 0.0
-        records.append(
-            SweepRecord(
-                epsilon=float(eps),
-                n_eps=approx.n_eps,
-                per_k_cards=cards,
-                k_eff=k_eff,
-                sup_err_T=agg_t,
-                sup_err_dT=agg_dt,
-                distances=None,
-                wall_ms=wall,
-            )
-        )
+        records.append(_record(eps, approx, agg_t, agg_dt, None, t0, clock))
     fit = fit_rate([r.n_eps for r in records],
                    [r.sup_err_T for r in records], "algebraic")
     return records, fit

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import Density, conditional, marginal_hat
-from .quadrature import gauss_legendre
+from .density import Density, conditional
+from .quadrature import integrate_from_minus_one
 
 DEFAULT_CDF_ORDER = 32
 DEFAULT_ROOT_TOL = 1e-12
@@ -56,22 +56,12 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     return np.clip(t, lo, hi)
 
 
-def invert_cdf(F, y, fprime=None, tol=DEFAULT_ROOT_TOL):
-    """Inverse of a CDF F on [-1, 1] with F(-1)=0, F(1)=1. Scalar-friendly."""
-    scalar = np.ndim(y) == 0
-    out = invert_monotone(F, y, fprime=fprime, tol=tol)
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class ExactTransport:
     """The KR transport T with T_sharp(reference) = target."""
 
     reference: Density
     target: Density
-    cdf_order: int = DEFAULT_CDF_ORDER
-    marginal_order: int = 24
-    root_tol: float = DEFAULT_ROOT_TOL
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,142 +75,99 @@ class ExactTransport:
     def conditional_cdf(self, f: Density, k: int, prefix, t):
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
 
-        prefix: (m, k-1); t: (m,). A fixed Gauss-Legendre rule is mapped
-        onto [-1, t] per point.
+        prefix: (m, k-1); t: (m,). A fixed DEFAULT_CDF_ORDER-point
+        Gauss-Legendre rule is mapped onto [-1, t] per point.
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        rule = gauss_legendre(self.cdf_order)
-        mlen = t.shape[0]
-        n = rule.n
-        # s[i, q] in [-1, t_i]
-        half = 0.5 * (t + 1.0)
-        s = -1.0 + np.outer(half, rule.nodes + 1.0)
-        pts = np.concatenate(
-            [np.repeat(prefix, n, axis=0), s.reshape(-1, 1)], axis=1
-        )
-        fk = conditional(f, k, pts, order=self.marginal_order).reshape(mlen, n)
-        return half * (fk @ rule.weights)
+
+        def fk(s):
+            pts = np.concatenate(
+                [np.repeat(prefix, s.shape[1], axis=0), s.reshape(-1, 1)], axis=1
+            )
+            return conditional(f, k, pts).reshape(s.shape)
+
+        return integrate_from_minus_one(fk, t, DEFAULT_CDF_ORDER)
 
     def _conditional(self, f: Density, k: int, prefix, t):
         pts = np.concatenate(
             [np.atleast_2d(prefix), np.atleast_1d(t).reshape(-1, 1)], axis=1
         )
-        return conditional(f, k, pts, order=self.marginal_order)
+        return conditional(f, k, pts)
 
     def forward(self, x):
         """T(x) for x of shape (m, d) or a single point."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        y = self._forward_prefix(pts, pts.shape[1])
+        y = self._solve(self.reference, self.target, pts, pts.shape[1])
         return y[0] if single else y
 
-    def _forward_prefix(self, x: np.ndarray, kmax: int) -> np.ndarray:
-        """Components T_1..T_kmax at x (m, >=kmax); returns (m, kmax)."""
+    def _solve(self, src: Density, dst: Density, x: np.ndarray,
+               kmax: int) -> np.ndarray:
+        """Components 1..kmax of the KR map from src to dst at x (m, >=kmax).
+
+        Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k);
+        returns y of shape (m, kmax).
+        """
         m = x.shape[0]
         y = np.empty((m, kmax))
         for k in range(1, kmax + 1):
             xp = x[:, : k - 1]
             yp = y[:, : k - 1]
-            u = self.conditional_cdf(self.reference, k, xp, x[:, k - 1])
+            u = self.conditional_cdf(src, k, xp, x[:, k - 1])
 
             def F(t):
-                return self.conditional_cdf(self.target, k, yp, t)
+                return self.conditional_cdf(dst, k, yp, t)
 
             def dF(t):
-                return 0.5 * self._conditional(self.target, k, yp, t)
+                return 0.5 * self._conditional(dst, k, yp, t)
 
             u = np.clip(u, 0.0, 1.0)
-            y[:, k - 1] = invert_monotone(F, u, fprime=dF, tol=self.root_tol)
+            y[:, k - 1] = invert_monotone(F, u, fprime=dF)
         return y
 
     def component(self, k: int, x):
         """T_k at points x of shape (m, k)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._forward_prefix(x, k)[:, k - 1]
+        return self._solve(self.reference, self.target, x, k)[:, k - 1]
 
     def diag_deriv(self, k: int, x):
         """d/dx_k T_k = f_{ref;k}(x_[k]) / f_{tar;k}(T(x)_[k])."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = self._forward_prefix(x, k)
-        num = conditional(self.reference, k, x[:, :k], order=self.marginal_order)
-        den = conditional(self.target, k, y, order=self.marginal_order)
+        y = self._solve(self.reference, self.target, x, k)
+        num = conditional(self.reference, k, x[:, :k])
+        den = conditional(self.target, k, y)
         return num / den
 
-    def inverse(self, y, method: str = "rootfind"):
-        """S(y) with T(S(y)) = y.
-
-        method="rootfind": per coordinate solve F_ref(x_[k-1], x_k) =
-        F_tar(y_[k-1], y_k), using that T_k is a composition of CDFs.
-        method="swap": evaluate the KR transport with the roles of the
-        densities exchanged (equal to T^{-1} by uniqueness).
-        """
+    def inverse(self, y):
+        """S(y) with T(S(y)) = y: the KR map from target to reference."""
         y = np.asarray(y, dtype=np.float64)
         single = y.ndim == 1
         pts = y[None, :] if single else y
-        if method == "swap":
-            x = self.swapped().forward(pts)
-        elif method == "rootfind":
-            x = self._inverse_rootfind(pts)
-        else:
-            raise ValueError(f"unknown inverse method {method!r}")
+        x = self._solve(self.target, self.reference, pts, pts.shape[1])
         return x[0] if single else x
-
-    def _inverse_rootfind(self, y: np.ndarray) -> np.ndarray:
-        m, d = y.shape
-        x = np.empty((m, d))
-        for k in range(1, d + 1):
-            yp = y[:, : k - 1]
-            xp = x[:, : k - 1]
-            u = self.conditional_cdf(self.target, k, yp, y[:, k - 1])
-
-            def F(t):
-                return self.conditional_cdf(self.reference, k, xp, t)
-
-            def dF(t):
-                return 0.5 * self._conditional(self.reference, k, xp, t)
-
-            u = np.clip(u, 0.0, 1.0)
-            x[:, k - 1] = invert_monotone(F, u, fprime=dF, tol=self.root_tol)
-        return x
 
     def swapped(self) -> "ExactTransport":
         """The transport with reference and target exchanged (this is T^{-1})."""
         if "swapped" not in self._cache:
             self._cache["swapped"] = ExactTransport(
-                reference=self.target,
-                target=self.reference,
-                cdf_order=self.cdf_order,
-                marginal_order=self.marginal_order,
-                root_tol=self.root_tol,
+                reference=self.target, target=self.reference
             )
         return self._cache["swapped"]
-
-
-def kr_forward(transport: ExactTransport, x):
-    return transport.forward(x)
-
-
-def kr_inverse(transport: ExactTransport, y, method: str = "rootfind"):
-    return transport.inverse(y, method=method)
-
-
-def diag_derivative(transport: ExactTransport, k: int, x):
-    return transport.diag_deriv(k, x)
 
 
 _DERIV_FLOOR = 1e-14
 
 
-def pushforward_density(tmap, rho: Density, y, inverse_kwargs=None):
+def pushforward_density(tmap, rho: Density, y):
     """Density of T_sharp(rho) at y: f_rho(T^{-1}(y)) / det dT(T^{-1}(y)).
 
     tmap is any triangular map exposing inverse/diag_deriv (exact or
     approximate).
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x = tmap.inverse(y, **(inverse_kwargs or {}))
+    x = tmap.inverse(y)
     x = np.atleast_2d(x)
     det = np.ones(y.shape[0])
     for k in range(1, y.shape[1] + 1):

@@ -191,11 +191,33 @@ def test_points_file_csv(tmp_path):
     assert len(out["mapped"]) == 2
 
 
-def test_points_out_of_domain(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.json", {
-        "reference": UNIFORM2, "target": LINEAR2, "points": [[2.0, 0.0]],
-    })
+@pytest.mark.parametrize("points, csv", [
+    ([[2.0, 0.0]], None),
+    ([[float("nan"), 0.0]], None),
+    (None, "nan,0.1\n"),
+], ids=["out_of_range", "nan_inline", "nan_csv"])
+def test_points_out_of_domain(tmp_path, capsys, points, csv):
+    spec = {"reference": UNIFORM2, "target": LINEAR2}
+    if csv is None:
+        spec["points"] = points
+    else:
+        pf = tmp_path / "pts.csv"
+        pf.write_text(csv)
+        spec["points_file"] = str(pf)
+    cfg = _write(tmp_path, "c.json", spec)
     assert _run(["--config", cfg, "--out", tmp_path, "transport", "eval"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+    assert not (tmp_path / "transport_eval.json").exists()
+
+
+@pytest.mark.parametrize("xi", [[0.5, 2.0], {"alpha": -1}],
+                         ids=["weight_below_one", "negative_alpha"])
+def test_malformed_xi_is_config_error(tmp_path, capsys, xi):
+    cfg = _write(tmp_path, "x.json", {
+        "reference": UNIFORM2, "target": LINEAR2, "xi": xi, "epsilon": 0.1,
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, "approx", "build"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 
 def test_console_entry_point():

@@ -1,13 +1,9 @@
-"""The numba kernels must agree with the pure-numpy reference paths."""
+"""Legendre kernel: orthonormality and known values."""
 
 import numpy as np
 import pytest
 
 from krtransport import kernels
-
-
-def _rand(m, seed):
-    return np.random.Generator(np.random.Philox(seed)).uniform(-1, 1, size=m)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 5, 12])
@@ -16,46 +12,14 @@ def test_legendre_table_numpy_orthonormal(nmax):
     from krtransport.quadrature import gauss_legendre
 
     rule = gauss_legendre(nmax + 2)
-    tab = kernels.legendre_table_numpy(rule.nodes, nmax)
+    tab = kernels.legendre_table(rule.nodes, nmax)
     gram = tab.T @ (tab * rule.weights[:, None])
     assert np.allclose(gram, np.eye(nmax + 1), atol=1e-13)
 
 
 def test_legendre_table_known_values():
     x = np.array([0.0, 1.0, -1.0, 0.5])
-    tab = kernels.legendre_table_numpy(x, 2)
+    tab = kernels.legendre_table(x, 2)
     assert np.allclose(tab[:, 0], 1.0)
     assert np.allclose(tab[:, 1], np.sqrt(3.0) * x)
     assert np.allclose(tab[:, 2], np.sqrt(5.0) * 0.5 * (3 * x**2 - 1))
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba disabled")
-@pytest.mark.parametrize("nmax", [0, 1, 7, 20])
-def test_numba_matches_numpy_table(nmax):
-    x = _rand(257, seed=nmax)
-    a = kernels.legendre_table_numpy(x, nmax)
-    b = kernels.legendre_table_numba(x, nmax)
-    assert np.array_equal(a.shape, b.shape)
-    assert np.allclose(a, b, rtol=0, atol=1e-14)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba disabled")
-def test_numba_matches_numpy_poly_eval():
-    rng = np.random.Generator(np.random.Philox(3))
-    m, k, nmax, nterms = 101, 3, 6, 12
-    pts = rng.uniform(-1, 1, size=(m, k))
-    tables = np.empty((m, k, nmax + 1))
-    for j in range(k):
-        tables[:, j, :] = kernels.legendre_table_numpy(pts[:, j], nmax)
-    exps = rng.integers(0, nmax + 1, size=(nterms, k)).astype(np.int64)
-    coeffs = rng.normal(size=nterms)
-    a = kernels.poly_eval_tables_numpy(tables, exps, coeffs)
-    b = kernels.poly_eval_tables_numba(tables, exps, coeffs)
-    assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
-
-
-def test_dispatch_respects_env_flag():
-    if kernels.NUMBA_ENABLED:
-        assert kernels.legendre_table is not kernels.legendre_table_numpy
-    else:
-        assert kernels.legendre_table is kernels.legendre_table_numpy

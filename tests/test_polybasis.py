@@ -10,9 +10,9 @@ from krtransport.polybasis import (
     SparsePolynomial,
     antiderivative_in_last,
     canon,
-    default_projection_grid,
     grlex_key,
     legendre_1d,
+    max_degree_per_dim,
     padded,
     project,
     sup_norm_bound,
@@ -91,10 +91,10 @@ def test_project_grid_order_guard():
         project(lambda x: x[:, 0], lam, uniform_grid(5, 1))
 
 
-def test_default_projection_grid_orders():
+def test_max_degree_per_dim():
     lam = _index_set(2, [(3, 0), (0, 2)])
-    g = default_projection_grid(lam, margin=4)
-    assert [r.n for r in g.rules] == [7, 6]
+    assert max_degree_per_dim(lam.members, 2) == [3, 2]
+    assert lam.max_degree_per_dim() == [3, 2]
 
 
 def test_antiderivative_exactness():

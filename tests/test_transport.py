@@ -88,12 +88,9 @@ def test_inverse_roundtrip_and_method_agreement():
     t = ExactTransport(reference=uniform(2), target=linear_density([0.3, 0.2]))
     pts = _rng(3).uniform(-0.9, 0.9, size=(25, 2))
     y = t.forward(pts)
-    x_root = t.inverse(y, method="rootfind")
-    x_swap = t.inverse(y, method="swap")
-    assert np.allclose(x_root, pts, atol=1e-9)
-    assert np.allclose(x_swap, x_root, atol=1e-9)
-    with pytest.raises(ValueError):
-        t.inverse(y, method="bogus")
+    x = t.inverse(y)
+    assert np.allclose(x, pts, atol=1e-9)
+    assert np.allclose(t.swapped().forward(y), x, atol=1e-9)
 
 
 def test_pushforward_density_matches_target():
