@@ -3,7 +3,6 @@ rational-polynomial approximation and convergence diagnostics."""
 
 from .approx import (
     ApproxTransport,
-    InverseTriangularMap,
     RationalComponent,
     build_approx_transport,
     fit_component,
@@ -32,7 +31,7 @@ from .metrics import (
     distance_report,
     hellinger,
     kl_divergence,
-    pullback_distance,
+    pushforward_distance,
     total_variation,
     wasserstein1,
 )
@@ -50,7 +49,6 @@ from .studies import (
 from .transport import (
     ExactTransport,
     invert_monotone,
-    pullback_density,
     pushforward_density,
 )
 
@@ -62,7 +60,6 @@ __all__ = [
     "DistanceReport",
     "ExactTransport",
     "IndexSet",
-    "InverseTriangularMap",
     "RateFit",
     "RationalComponent",
     "SparsePolynomial",
@@ -91,9 +88,8 @@ __all__ = [
     "marginal_hat",
     "posterior_demo",
     "project",
-    "pullback_density",
-    "pullback_distance",
     "pushforward_density",
+    "pushforward_distance",
     "rng_from_seed",
     "sup_norm_bound",
     "tensor_grid",

@@ -10,6 +10,10 @@ normalizes so the component maps [-1, 1] onto [-1, 1] exactly:
 
 Monotonicity holds for any p_k since the integrand is a square; an empty
 index set yields p_k = 0 and the identity component.
+
+For a fixed prefix, 1 + p_k is a 1d Legendre series q(t) = sum_n b_n L_n(t).
+Orthonormality gives c_k = 2 sum_n b_n^2, and the integral, derivative and
+inverse of the component need only that series.
 """
 
 import math
@@ -17,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# kernels are called through the module, so that per-layer tracing
+# (perfbench/tracing.py) that replaces them there sees these calls too
+from . import kernels
 from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
 from .polybasis import SparsePolynomial, project, zero_polynomial
-from .quadrature import (
-    TensorGrid,
-    gauss_legendre,
-    integrate_from_minus_one,
-    tensor_grid,
-)
+from .quadrature import TensorGrid, integrate_from_minus_one, tensor_grid
 from .transport import DEFAULT_ROOT_TOL, ExactTransport, invert_monotone
 
 DEGENERATE_C_FLOOR = 1e-14
@@ -87,6 +89,27 @@ def projection_grid(
     return tensor_grid(orders)
 
 
+def _series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q_i(t_i) = sum_n B[i, n] L_n(t_i); t is (m,) or (m, s)."""
+    n1 = B.shape[1]
+    table = kernels.legendre_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
+    return np.einsum("m...n,mn->m...", table, B)
+
+
+def _component(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-1 + (2/c) int_{-1}^{t} q^2, clipped into [-1, 1] against rounding.
+
+    q^2 has degree 2N in t, so the N+1 point rule on [-1, t] is exact.
+    """
+    half = integrate_from_minus_one(lambda s: _series(B, s) ** 2, t, B.shape[1])
+    return np.clip(-1.0 + 4.0 * half / c, -1.0, 1.0)
+
+
+def _slope(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d/dt of _component: 2 q(t)^2 / c >= 0."""
+    return 2.0 * _series(B, t) ** 2 / c
+
+
 @dataclass(frozen=True)
 class RationalComponent:
     """One monotone component Tt_k defined by the polynomial p_k."""
@@ -103,28 +126,28 @@ class RationalComponent:
     def is_identity(self) -> bool:
         return not self.p.terms
 
-    def _n_nodes(self) -> int:
-        # (1 + p)^2 has degree <= 2*maxdeg in t; maxdeg+1 nodes are exact
-        return (self.p.max_degree_per_dim()[-1] if self.p.terms else 0) + 1
+    def _t_coeffs(self, prefix: np.ndarray) -> np.ndarray:
+        """B (m, N+1): Legendre coefficients in t of 1 + p(prefix, t).
 
-    def _sq(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """(1 + p)^2 at stacked (prefix, t) points; prefix (m,k-1), t (m,)."""
-        pts = np.concatenate([prefix, t.reshape(-1, 1)], axis=1)
-        v = 1.0 + self.p._eval_batch(pts)
-        return v * v
+        Row i is the 1d series q_i(t) = sum_n B[i, n] L_n(t): the terms of
+        p with last exponent n add their prefix products to column n.
+        """
+        exps, coeffs = self.p.arrays
+        head, last = exps[:, :-1], exps[:, -1]
+        nmax = int(head.max(initial=0))
+        tables = np.empty((prefix.shape[0], self.k - 1, nmax + 1))
+        for j in range(self.k - 1):
+            tables[:, j, :] = kernels.legendre_table(prefix[:, j], nmax)
+        B = np.zeros((prefix.shape[0], int(last.max(initial=0)) + 1))
+        for n in np.unique(last):
+            sel = last == n
+            B[:, n] = kernels.poly_eval_tables(tables, head[sel], coeffs[sel])
+        B[:, 0] += 1.0
+        return B
 
-    def normalization(self, prefix) -> np.ndarray:
-        """c_k(prefix) = int_{-1}^{1} (1 + p)^2 dt, exactly by quadrature."""
-        prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
-        m = prefix.shape[0]
-        if self.is_identity:
-            return np.full(m, 2.0)
-        rule = gauss_legendre(self._n_nodes())
-        n = rule.n
-        rep = np.repeat(prefix, n, axis=0)
-        tt = np.tile(rule.nodes, m)
-        g = self._sq(rep, tt).reshape(m, n)
-        c = 2.0 * (g @ rule.weights)
+    def _c(self, B: np.ndarray) -> np.ndarray:
+        """c_k = int_{-1}^{1} q^2 dt = 2 sum_n B[:, n]^2 (Parseval)."""
+        c = 2.0 * np.einsum("mn,mn->m", B, B)
         if np.any(c <= DEGENERATE_C_FLOOR):
             raise ValueError(
                 f"degenerate normalization in component {self.k}: "
@@ -132,46 +155,42 @@ class RationalComponent:
             )
         return c
 
+    def normalization(self, prefix) -> np.ndarray:
+        """c_k(prefix) = int_{-1}^{1} (1 + p)^2 dt, in closed form."""
+        prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
+        if self.is_identity:
+            return np.full(prefix.shape[0], 2.0)
+        return self._c(self._t_coeffs(prefix))
+
     def eval(self, x) -> np.ndarray:
         """Tt_k at points x of shape (m, k)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return x[:, -1].copy()
-        prefix, xk = x[:, :-1], x[:, -1]
-        c = self.normalization(prefix)
-
-        def sq(s):
-            rep = np.repeat(prefix, s.shape[1], axis=0)
-            return self._sq(rep, s.ravel()).reshape(s.shape)
-
-        # half the Lebesgue integral of (1 + p)^2 over [-1, x_k]
-        half_integral = integrate_from_minus_one(sq, xk, self._n_nodes())
-        return -1.0 + 2.0 * (2.0 * half_integral) / c
+        B = self._t_coeffs(x[:, :-1])
+        return _component(B, self._c(B), x[:, -1])
 
     def deriv(self, x) -> np.ndarray:
-        """d/dx_k Tt_k = 2 (1 + p)^2 / c_k >= 0."""
+        """d/dx_k Tt_k = 2 q(x_k)^2 / c_k >= 0."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return np.ones(x.shape[0])
-        prefix, xk = x[:, :-1], x[:, -1]
-        c = self.normalization(prefix)
-        return 2.0 * self._sq(prefix, xk) / c
+        B = self._t_coeffs(x[:, :-1])
+        return _slope(B, self._c(B), x[:, -1])
 
     def invert(self, prefix, y) -> np.ndarray:
-        """t with Tt_k(prefix, t) = y, by monotone root-finding."""
+        """t with Tt_k(prefix, t) = y, by monotone root-finding in t alone."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
             return y.copy()
-
-        def F(t):
-            return self.eval(np.concatenate([prefix, t.reshape(-1, 1)], axis=1))
-
-        def dF(t):
-            return self.deriv(np.concatenate([prefix, t.reshape(-1, 1)], axis=1))
-
-        return invert_monotone(F, np.clip(y, -1.0, 1.0), fprime=dF,
-                               tol=DEFAULT_ROOT_TOL)
+        B = self._t_coeffs(prefix)
+        c = self._c(B)
+        return invert_monotone(
+            lambda t: _component(B, c, t), np.clip(y, -1.0, 1.0),
+            fprime=lambda t: _slope(B, c, t),
+            tol=DEFAULT_ROOT_TOL,
+        )
 
     def to_json(self) -> dict:
         out = {"k": self.k, "p_coeffs": self.p.to_json()}
@@ -233,18 +252,13 @@ class ApproxTransport:
             y[:, k - 1] = self.components[k - 1].eval(pts[:, :k])
         return y[0] if single else y
 
-    def inverse_prefix(self, y: np.ndarray, kmax: int) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        x = np.empty((y.shape[0], kmax))
-        for k in range(1, kmax + 1):
-            x[:, k - 1] = self.components[k - 1].invert(x[:, : k - 1], y[:, k - 1])
-        return x
-
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
         single = y.ndim == 1
         pts = y[None, :] if single else y
-        x = self.inverse_prefix(pts, pts.shape[1])
+        x = np.empty_like(pts)
+        for k in range(1, pts.shape[1] + 1):
+            x[:, k - 1] = self.components[k - 1].invert(x[:, : k - 1], pts[:, k - 1])
         return x[0] if single else x
 
     def to_json(self) -> dict:
@@ -262,26 +276,6 @@ class ApproxTransport:
             epsilon=obj.get("epsilon"),
             xi=tuple(obj["xi"]) if obj.get("xi") else None,
         )
-
-
-class InverseTriangularMap:
-    """View of Tt^{-1} as a triangular map (for pullback densities).
-
-    forward(x) inverts the wrapped map componentwise; the diagonal
-    derivative is the reciprocal of the wrapped one at the preimage.
-    """
-
-    def __init__(self, tmap: ApproxTransport):
-        self.tmap = tmap
-        self.d = tmap.d
-
-    def forward(self, x):
-        return self.tmap.inverse(x)
-
-    def diag_deriv(self, k: int, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        s = self.tmap.inverse_prefix(x, k)
-        return 1.0 / self.tmap.diag_deriv(k, s)
 
 
 def build_approx_transport(

@@ -3,7 +3,7 @@
 Subcommands:
     transport eval   map points through the exact or a serialized map
     approx build     fit an approximate transport and serialize it
-    distance         distances between two densities or map pullback vs target
+    distance         distances between two densities or map pushforward vs target
     sample           emit pushforward samples
     study convergence | truncation | posterior
 
@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import ApproxTransport, InverseTriangularMap, build_approx_transport
+from .approx import ApproxTransport, build_approx_transport
 from .density import Density, density_from_config
 from .indexsets import WeightVector, xi_from_anisotropy
-from .metrics import distance_report, pullback_distance
+from .metrics import distance_report, pushforward_distance
 from .quadrature import uniform_grid
 from .studies import (
     _distance_grid_order,
@@ -68,9 +68,23 @@ class _Config:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
+    def take_as(self, key, kind, default=_MISSING):
+        """take(key) converted by kind; a value kind rejects is a config error."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"bad value for config key {key!r}: {value!r}") from e
+
     def finish(self):
         if self.raw:
             raise ConfigError(f"unknown config keys: {sorted(self.raw)}")
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
 
 
 def _density(spec, what: str) -> Density:
@@ -109,16 +123,17 @@ def _read_points(cfg: _Config, d: int) -> np.ndarray:
     path = cfg.take("points_file", None)
     if (pts is None) == (path is None):
         raise ConfigError("exactly one of 'points' / 'points_file' required")
-    if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"points file not found: {path}")
-        if p.suffix == ".json":
-            with open(p) as fh:
+    if path is not None and not Path(path).is_file():
+        raise ConfigError(f"points file not found: {path}")
+    try:
+        if path is not None and Path(path).suffix == ".json":
+            with open(path) as fh:
                 pts = json.load(fh)
-        else:
-            pts = np.loadtxt(p, delimiter=",", ndmin=2)
-    arr = np.asarray(pts, dtype=np.float64)
+        elif path is not None:
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        arr = np.asarray(pts, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"points must be an array of numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ConfigError(f"points must be an (m, {d}) array")
     if not np.all(np.abs(arr) <= 1.0):
@@ -155,7 +170,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
                 tmap = ApproxTransport.from_json(json.load(fh))
         else:
             xi = _weights(cfg.take("xi", {}), target)
-            eps = float(cfg.take("epsilon"))
+            eps = cfg.take_as("epsilon", float)
             tmap = build_approx_transport(reference, target, xi, eps)
     else:
         raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
@@ -176,7 +191,7 @@ def _cmd_approx_build(cfg: _Config, out_dir: Path, seed):
     reference = _density(cfg.take("reference"), "reference")
     target = _density(cfg.take("target"), "target")
     xi = _weights(cfg.take("xi", {}), target)
-    eps = float(cfg.take("epsilon"))
+    eps = cfg.take_as("epsilon", float)
     cfg.finish()
     tmap = build_approx_transport(reference, target, xi, eps)
     path = _write_json(out_dir, "approx_transport.json", tmap.to_json())
@@ -185,7 +200,7 @@ def _cmd_approx_build(cfg: _Config, out_dir: Path, seed):
 
 
 def _cmd_distance(cfg: _Config, out_dir: Path, seed):
-    grid_order = cfg.take("grid_order", None)
+    grid_order = cfg.take_as("grid_order", int, None)
     map_file = cfg.take("map_file", None)
     if map_file is not None:
         reference = _density(cfg.take("reference"), "reference")
@@ -193,16 +208,14 @@ def _cmd_distance(cfg: _Config, out_dir: Path, seed):
         with open(map_file) as fh:
             tmap = ApproxTransport.from_json(json.load(fh))
         d = target.d
-        grid = uniform_grid(int(grid_order or _distance_grid_order(d)), d)
-        report = pullback_distance(
-            InverseTriangularMap(tmap), reference, target, grid
-        )
+        grid = uniform_grid(grid_order or _distance_grid_order(d), d)
+        report = pushforward_distance(tmap, reference, target, grid)
     else:
         f = _density(cfg.take("f"), "f")
         g = _density(cfg.take("g"), "g")
         if f.d != g.d:
             raise ConfigError("densities have different dimensions")
-        grid = uniform_grid(int(grid_order or _distance_grid_order(f.d)), f.d)
+        grid = uniform_grid(grid_order or _distance_grid_order(f.d), f.d)
         report = distance_report(f, g, f.d, grid, oversample_tv=True)
     cfg.finish()
     path = _write_json(out_dir, "distance.json", report.to_json())
@@ -220,9 +233,9 @@ def _cmd_sample(cfg: _Config, out_dir: Path, seed):
     else:
         reference = _density(ref_spec, "reference")
     xi = _weights(cfg.take("xi", {}), target)
-    eps = float(cfg.take("epsilon"))
-    n = int(cfg.take("n_samples", 1000))
-    cfg_seed = int(cfg.take("seed", 0))
+    eps = cfg.take_as("epsilon", float)
+    n = cfg.take_as("n_samples", int, 1000)
+    cfg_seed = cfg.take_as("seed", int, 0)
     seed = cfg_seed if seed is None else seed
     cfg.finish()
     tmap = build_approx_transport(reference, target, xi, eps)
@@ -241,16 +254,16 @@ def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
     reference = _density(cfg.take("reference"), "reference")
     target = _density(cfg.take("target"), "target")
     xi = _weights(cfg.take("xi", {}), target)
-    eps_list = [float(e) for e in cfg.take("epsilon_list")]
-    cfg_seed = int(cfg.take("seed", 0))
+    eps_list = cfg.take_as("epsilon_list", _floats)
+    cfg_seed = cfg.take_as("seed", int, 0)
     seed = cfg_seed if seed is None else seed
-    n_cloud = int(cfg.take("n_cloud", 2048))
-    grid_order = cfg.take("distance_grid_order", None)
+    n_cloud = cfg.take_as("n_cloud", int, 2048)
+    grid_order = cfg.take_as("distance_grid_order", int, None)
     timing = bool(cfg.take("timing", False))
     cfg.finish()
     records, fit = convergence_study(
         reference, target, xi, eps_list, seed=seed, n_cloud=n_cloud,
-        distance_grid_order=int(grid_order) if grid_order else None,
+        distance_grid_order=grid_order,
         clock=time.perf_counter if timing else None,
     )
     (out_dir / "convergence.csv").write_text(records_to_csv(records))
@@ -262,14 +275,14 @@ def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
 
 
 def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
-    amplitude = float(cfg.take("amplitude"))
-    s = float(cfg.take("s"))
-    d_max = int(cfg.take("d_max"))
-    eps_list = [float(e) for e in cfg.take("epsilon_list")]
-    alpha = float(cfg.take("alpha", 1.0))
-    cfg_seed = int(cfg.take("seed", 0))
+    amplitude = cfg.take_as("amplitude", float)
+    s = cfg.take_as("s", float)
+    d_max = cfg.take_as("d_max", int)
+    eps_list = cfg.take_as("epsilon_list", _floats)
+    alpha = cfg.take_as("alpha", float, 1.0)
+    cfg_seed = cfg.take_as("seed", int, 0)
     seed = cfg_seed if seed is None else seed
-    n_cloud = int(cfg.take("n_cloud", 512))
+    n_cloud = cfg.take_as("n_cloud", int, 512)
     timing = bool(cfg.take("timing", False))
     cfg.finish()
     records, fit = truncation_study(
@@ -287,17 +300,17 @@ def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
 def _cmd_study_posterior(cfg: _Config, out_dir: Path, seed):
     A = cfg.take("A")
     varsigma = cfg.take("varsigma")
-    sigma = float(cfg.take("sigma"))
-    eps = float(cfg.take("epsilon"))
-    n_samples = int(cfg.take("n_samples", 2000))
-    cfg_seed = int(cfg.take("seed", 0))
+    sigma = cfg.take_as("sigma", float)
+    eps = cfg.take_as("epsilon", float)
+    n_samples = cfg.take_as("n_samples", int, 2000)
+    cfg_seed = cfg.take_as("seed", int, 0)
     seed = cfg_seed if seed is None else seed
-    alpha = float(cfg.take("alpha", 1.0))
-    grid_order = cfg.take("distance_grid_order", None)
+    alpha = cfg.take_as("alpha", float, 1.0)
+    grid_order = cfg.take_as("distance_grid_order", int, None)
     cfg.finish()
     report = posterior_demo(
         A, varsigma, sigma, eps, n_samples=n_samples, seed=seed, alpha=alpha,
-        distance_grid_order=int(grid_order) if grid_order else None,
+        distance_grid_order=grid_order,
     )
     _write_json(out_dir, "posterior.json", report.to_json())
     (out_dir / "posterior_samples.csv").write_text(_samples_csv(report.samples))

@@ -17,6 +17,7 @@ from .quadrature import (
     integrate_from_minus_one,
     tensor_grid,
 )
+from .transport import pushforward_density
 
 W1_CDF_ORDER = 64
 
@@ -118,19 +119,10 @@ def distance_report(f, g, d: int, grid: TensorGrid,
     )
 
 
-def pullback_distance(smap, rho, pi, grid: TensorGrid,
-                      oversample_tv: bool = False) -> DistanceReport:
-    """Distances between the pullback density f_rho(S(x)) det dS(x) and f_pi.
-
-    smap is a monotone triangular map exposing forward/diag_deriv (for an
-    approximate forward transport Tt, pass InverseTriangularMap(Tt)).
-    """
-    from .transport import pullback_density
-
-    def pb(x):
-        return pullback_density(smap, rho, x)
-
-    return distance_report(pb, pi, grid.d, grid, oversample_tv=oversample_tv)
+def pushforward_distance(tmap, rho, pi, grid: TensorGrid) -> DistanceReport:
+    """Distances between the density of tmap_sharp(rho) and f_pi on the grid."""
+    return distance_report(lambda y: pushforward_density(tmap, rho, y), pi,
+                           grid.d, grid)
 
 
 def det_product_bound(a, b):

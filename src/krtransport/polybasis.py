@@ -8,6 +8,7 @@ ints with trailing zeros trimmed; tensor basis functions are products of
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,17 @@ class SparsePolynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
+    @cached_property
+    def arrays(self):
+        """(exps (nterms, dim), coeffs (nterms,)) in grlex order, built once."""
+        items = self.sorted_terms()
+        exps = np.array([padded(nu, self.dim) for nu, _ in items],
+                        dtype=np.int64).reshape(-1, self.dim)
+        coeffs = np.array([c for _, c in items], dtype=np.float64)
+        exps.setflags(write=False)
+        coeffs.setflags(write=False)
+        return exps, coeffs
+
     def __call__(self, x):
         return self.eval(x)
 
@@ -92,9 +104,7 @@ class SparsePolynomial:
     def _eval_batch(self, pts: np.ndarray) -> np.ndarray:
         if not self.terms:
             return np.zeros(pts.shape[0])
-        items = self.sorted_terms()
-        exps = np.array([padded(nu, self.dim) for nu, _ in items], dtype=np.int64)
-        coeffs = np.array([c for _, c in items])
+        exps, coeffs = self.arrays
         nmax = int(exps.max(initial=0))
         tables = np.empty((pts.shape[0], self.dim, nmax + 1))
         for j in range(self.dim):

@@ -12,15 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import (
-    ApproxTransport,
-    InverseTriangularMap,
-    build_approx_transport,
-    projection_grid,
-)
+from .approx import ApproxTransport, build_approx_transport, projection_grid
 from .density import Density, conditional, gaussian_posterior, linear_density, uniform
 from .indexsets import WeightVector, enumerate_lambda, xi_from_anisotropy
-from .metrics import DistanceReport, pullback_distance
+from .metrics import DistanceReport, pushforward_distance
 from .quadrature import integrate, uniform_grid
 from .transport import ExactTransport
 
@@ -195,9 +190,7 @@ def convergence_study(
             sup_t = max(sup_t, et)
             sup_dt = max(sup_dt, edt)
         dist = (
-            pullback_distance(InverseTriangularMap(approx), rho, pi, grid)
-            if with_distances
-            else None
+            pushforward_distance(approx, rho, pi, grid) if with_distances else None
         )
         records.append(_record(eps, approx, sup_t, sup_dt, dist, t0, clock))
     errs = [r.sup_err_T for r in records]
@@ -307,7 +300,7 @@ def posterior_demo(
     xi = xi_from_anisotropy(pi.anisotropy, alpha)
     approx = build_approx_transport(rho, pi, xi, epsilon)
     grid = uniform_grid(distance_grid_order or _distance_grid_order(d), d)
-    dist = pullback_distance(InverseTriangularMap(approx), rho, pi, grid)
+    dist = pushforward_distance(approx, rho, pi, grid)
     rng = rng_from_seed(seed)
     x = rng.uniform(-1.0, 1.0, size=(n_samples, d))
     y = approx.forward(x)

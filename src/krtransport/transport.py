@@ -176,13 +176,3 @@ def pushforward_density(tmap, rho: Density, y):
             raise ValueError("diagonal derivative underflow in pushforward")
         det *= dk
     return rho.evaluate(x) / det
-
-
-def pullback_density(smap, rho: Density, x):
-    """Density of S^sharp(rho) at x: f_rho(S(x)) * det dS(x)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    s = np.atleast_2d(smap.forward(x))
-    det = np.ones(x.shape[0])
-    for k in range(1, x.shape[1] + 1):
-        det *= np.asarray(smap.diag_deriv(k, x[:, :k]), dtype=np.float64)
-    return rho.evaluate(s) * det

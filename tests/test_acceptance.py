@@ -159,7 +159,7 @@ def test_criterion_5_measure_convergence():
         exact, is_exact = wasserstein1(f, uniform(1), 1, grid1)
         bound = wasserstein1_bound(f, uniform(1), 1, grid1)
         ok = ok and is_exact and bound >= exact
-    _report(5, "pullback measure distances converge with the map", ok,
+    _report(5, "pushforward measure distances converge with the map", ok,
             f"final H {last.distances.hellinger:.2e}, "
             f"TV {last.distances.tv:.2e}, KL {last.distances.kl:.2e}")
 

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krtransport.approx import (
     ApproxTransport,
-    InverseTriangularMap,
     RationalComponent,
     build_approx_transport,
     fit_component,
@@ -16,7 +17,7 @@ from krtransport.approx import (
 )
 from krtransport.density import linear_density, uniform
 from krtransport.indexsets import IndexSet, WeightVector, enumerate_lambda
-from krtransport.polybasis import SparsePolynomial, zero_polynomial
+from krtransport.polybasis import SparsePolynomial, canon, zero_polynomial
 from krtransport.quadrature import gauss_legendre
 from krtransport.transport import ExactTransport
 
@@ -51,6 +52,16 @@ def test_component_maps_interval_onto_itself():
     ends = comp.eval(np.array([[-1.0], [1.0]]))
     assert ends[0] == pytest.approx(-1.0, abs=1e-14)
     assert ends[1] == pytest.approx(1.0, abs=1e-14)
+    # a fitted 2d component: c_k and the integral up to x_2 = 1 round
+    # independently, so without clipping some prefixes land just past 1
+    comp = _setup(eps=1e-6)[3].components[1]
+    prefix = _rng(9).uniform(-1, 1, size=(2000, 1))
+    inner = _rng(10).uniform(-1, 1, size=(2000, 1))
+    assert np.all(np.abs(comp.eval(np.concatenate([prefix, inner], axis=1))) <= 1.0)
+    for s in (-1.0, 1.0):
+        vals = comp.eval(np.concatenate([prefix, np.full((2000, 1), s)], axis=1))
+        assert np.all(np.abs(vals) <= 1.0)
+        assert np.max(np.abs(vals - s)) <= 1e-14
 
 
 def test_component_monotone_for_any_p():
@@ -83,6 +94,38 @@ def test_component_invert():
     y = comp.eval(x)
     back = comp.invert(np.zeros((11, 0)), y)
     assert np.allclose(back, x[:, 0], atol=1e-10)
+
+
+_COEFF = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _random_component(draw):
+    k = draw(st.integers(1, 2))
+    nus = st.tuples(*[st.integers(0, 5)] * k)
+    terms = draw(st.dictionaries(nus, _COEFF, min_size=1, max_size=8))
+    p = SparsePolynomial(k, {canon(nu): c for nu, c in terms.items()})
+    prefix = draw(st.lists(st.floats(-1.0, 1.0), min_size=k - 1, max_size=k - 1))
+    return RationalComponent(k=k, p=p), np.array([prefix])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_component(), st.floats(-1.0, 1.0))
+def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
+    comp, prefix = comp_prefix
+    rule = gauss_legendre(64)
+    pts = np.concatenate([np.repeat(prefix, rule.n, axis=0),
+                          rule.nodes.reshape(-1, 1)], axis=1)
+    q = 1.0 + comp.p.eval(pts)
+    reference = 2.0 * float((q * q) @ rule.weights)
+    assume(reference > 1e-8)
+    c = float(comp.normalization(prefix)[0])
+    assert abs(c - reference) <= 1e-12 * reference
+    x = np.concatenate([prefix, [[xk]]], axis=1)
+    # the solve stops at |Tt(t) - y| <= 1e-12, i.e. |t - x_k| <~ 1e-12 / Tt'
+    assume(comp.deriv(x)[0] >= 0.02)
+    back = comp.invert(prefix, comp.eval(x))
+    assert abs(back[0] - xk) <= 1e-10
 
 
 def test_sqrt_shift_target_identity_is_zero():
@@ -130,17 +173,6 @@ def test_forward_inverse_roundtrip():
     pts = _rng(12).uniform(-0.95, 0.95, size=(50, 2))
     back = approx.inverse(approx.forward(pts))
     assert np.allclose(back, pts, atol=1e-9)
-
-
-def test_inverse_triangular_map_derivative():
-    _, _, _, approx = _setup(eps=1e-3)
-    inv = InverseTriangularMap(approx)
-    pts = _rng(13).uniform(-0.9, 0.9, size=(20, 2))
-    s = inv.forward(pts)
-    # chain rule: dS_k(x) * dT_k(S(x)) = 1
-    for k in [1, 2]:
-        prod = inv.diag_deriv(k, pts[:, :k]) * approx.diag_deriv(k, s[:, :k])
-        assert np.allclose(prod, 1.0, atol=1e-9)
 
 
 def test_json_round_trip_bitwise():

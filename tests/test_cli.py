@@ -195,7 +195,8 @@ def test_points_file_csv(tmp_path):
     ([[2.0, 0.0]], None),
     ([[float("nan"), 0.0]], None),
     (None, "nan,0.1\n"),
-], ids=["out_of_range", "nan_inline", "nan_csv"])
+    ([[0.1], [0.2, 0.3]], None),
+], ids=["out_of_range", "nan_inline", "nan_csv", "ragged_inline"])
 def test_points_out_of_domain(tmp_path, capsys, points, csv):
     spec = {"reference": UNIFORM2, "target": LINEAR2}
     if csv is None:
@@ -210,13 +211,19 @@ def test_points_out_of_domain(tmp_path, capsys, points, csv):
     assert not (tmp_path / "transport_eval.json").exists()
 
 
-@pytest.mark.parametrize("xi", [[0.5, 2.0], {"alpha": -1}],
-                         ids=["weight_below_one", "negative_alpha"])
-def test_malformed_xi_is_config_error(tmp_path, capsys, xi):
+@pytest.mark.parametrize("command, spec", [
+    (["approx", "build"], {"xi": [0.5, 2.0]}),
+    (["approx", "build"], {"xi": {"alpha": -1}}),
+    (["approx", "build"], {"epsilon": "abc"}),
+    (["sample"], {"n_samples": "x"}),
+], ids=["weight_below_one", "negative_alpha", "epsilon_not_a_number",
+        "n_samples_not_a_number"])
+def test_malformed_xi_is_config_error(tmp_path, capsys, command, spec):
     cfg = _write(tmp_path, "x.json", {
-        "reference": UNIFORM2, "target": LINEAR2, "xi": xi, "epsilon": 0.1,
+        "reference": UNIFORM2, "target": LINEAR2, "xi": {"alpha": 0.5},
+        "epsilon": 0.1, **spec,
     })
-    assert _run(["--config", cfg, "--out", tmp_path, "approx", "build"]) == 2
+    assert _run(["--config", cfg, "--out", tmp_path, *command]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 

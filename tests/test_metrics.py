@@ -11,7 +11,7 @@ from krtransport.metrics import (
     distance_report,
     hellinger,
     kl_divergence,
-    pullback_distance,
+    pushforward_distance,
     total_variation,
     total_variation_oversampled,
     wasserstein1,
@@ -115,11 +115,11 @@ def test_distance_report_fields():
                       "tv_oversampled", "grid_orders"}
 
 
-def test_pullback_distance_exact_transport_is_zero():
+def test_pushforward_distance_exact_transport_is_zero():
     rho = uniform(2)
     pi = linear_density([0.3, 0.2])
     t = ExactTransport(reference=rho, target=pi)
-    rep = pullback_distance(t.swapped(), rho, pi, uniform_grid(12, 2))
+    rep = pushforward_distance(t, rho, pi, uniform_grid(12, 2))
     assert rep.hellinger < 1e-9
     assert rep.tv < 1e-9
 

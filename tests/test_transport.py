@@ -8,7 +8,6 @@ from krtransport.quadrature import integrate, uniform_grid
 from krtransport.transport import (
     ExactTransport,
     invert_monotone,
-    pullback_density,
     pushforward_density,
 )
 
@@ -99,15 +98,6 @@ def test_pushforward_density_matches_target():
     t = ExactTransport(reference=rho, target=pi)
     y = _rng(4).uniform(-0.9, 0.9, size=(20, 2))
     assert np.allclose(pushforward_density(t, rho, y), pi.evaluate(y), atol=1e-9)
-
-
-def test_pullback_density_matches_target():
-    rho = uniform(2)
-    pi = linear_density([0.25, -0.3])
-    t = ExactTransport(reference=rho, target=pi)
-    x = _rng(5).uniform(-0.9, 0.9, size=(20, 2))
-    pb = pullback_density(t.swapped(), rho, x)
-    assert np.allclose(pb, pi.evaluate(x), atol=1e-9)
 
 
 def test_pushforward_integrates_to_one():
