@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
-from .polybasis import SparsePolynomial, project, zero_polynomial
+from .polybasis import SparsePolynomial, legendre_series, project, zero_polynomial
 from .quadrature import TensorGrid, integrate_from_minus_one, tensor_grid
 from .transport import DEFAULT_ROOT_TOL, ExactTransport, invert_monotone
 
@@ -89,25 +89,19 @@ def projection_grid(
     return tensor_grid(orders)
 
 
-def _series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """q_i(t_i) = sum_n B[i, n] L_n(t_i); t is (m,) or (m, s)."""
-    n1 = B.shape[1]
-    table = kernels.legendre_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
-    return np.einsum("m...n,mn->m...", table, B)
-
-
 def _component(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """-1 + (2/c) int_{-1}^{t} q^2, clipped into [-1, 1] against rounding.
 
     q^2 has degree 2N in t, so the N+1 point rule on [-1, t] is exact.
     """
-    half = integrate_from_minus_one(lambda s: _series(B, s) ** 2, t, B.shape[1])
+    half = integrate_from_minus_one(lambda s: legendre_series(B, s) ** 2, t,
+                                    B.shape[1])
     return np.clip(-1.0 + 4.0 * half / c, -1.0, 1.0)
 
 
 def _slope(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d/dt of _component: 2 q(t)^2 / c >= 0."""
-    return 2.0 * _series(B, t) ** 2 / c
+    return 2.0 * legendre_series(B, t) ** 2 / c
 
 
 @dataclass(frozen=True)

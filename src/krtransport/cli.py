@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproxTransport, build_approx_transport
-from .density import Density, density_from_config
+from .density import Density, density_from_config, uniform
 from .indexsets import WeightVector, xi_from_anisotropy
 from .metrics import distance_report, pushforward_distance
 from .quadrature import uniform_grid
@@ -141,6 +141,15 @@ def _read_points(cfg: _Config, d: int) -> np.ndarray:
     return arr
 
 
+def _read_map(path) -> ApproxTransport:
+    """The serialized map at path; a missing or malformed file is a config error."""
+    try:
+        with open(str(path)) as fh:
+            return ApproxTransport.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"bad map file {path!r}: {e}") from e
+
+
 def _write_json(out_dir: Path, name: str, obj) -> Path:
     path = out_dir / name
     with open(path, "w") as fh:
@@ -166,8 +175,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
     elif mode == "approx":
         map_file = cfg.take("map_file", None)
         if map_file is not None:
-            with open(map_file) as fh:
-                tmap = ApproxTransport.from_json(json.load(fh))
+            tmap = _read_map(map_file)
         else:
             xi = _weights(cfg.take("xi", {}), target)
             eps = cfg.take_as("epsilon", float)
@@ -205,8 +213,7 @@ def _cmd_distance(cfg: _Config, out_dir: Path, seed):
     if map_file is not None:
         reference = _density(cfg.take("reference"), "reference")
         target = _density(cfg.take("target"), "target")
-        with open(map_file) as fh:
-            tmap = ApproxTransport.from_json(json.load(fh))
+        tmap = _read_map(map_file)
         d = target.d
         grid = uniform_grid(grid_order or _distance_grid_order(d), d)
         report = pushforward_distance(tmap, reference, target, grid)
@@ -227,9 +234,7 @@ def _cmd_sample(cfg: _Config, out_dir: Path, seed):
     ref_spec = cfg.take("reference", None)
     target = _density(cfg.take("target"), "target")
     if ref_spec is None:
-        from .density import uniform as uniform_density
-
-        reference = uniform_density(target.d)
+        reference = uniform(target.d)
     else:
         reference = _density(ref_spec, "reference")
     xi = _weights(cfg.take("xi", {}), target)

@@ -22,15 +22,16 @@ def legendre_table(x: np.ndarray, nmax: int) -> np.ndarray:
     [-1, 1] equals 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[0], nmax + 1))
-    out[:, 0] = 1.0
+    # filled as (nmax+1, npts): each recurrence step writes a contiguous row
+    out = np.empty((nmax + 1, x.shape[0]))
+    out[0] = 1.0
     if nmax >= 1:
-        out[:, 1] = x
+        out[1] = x
     for n in range(1, nmax):
         # classical three-term recurrence on the unnormalized P_n
-        out[:, n + 1] = ((2 * n + 1) * x * out[:, n] - n * out[:, n - 1]) / (n + 1)
-    out *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
-    return out
+        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
+    out *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)[:, None]
+    return out.T
 
 
 def poly_eval_tables(

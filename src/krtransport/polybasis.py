@@ -34,13 +34,6 @@ def grlex_key(nu):
     return (sum(nu), tuple(nu))
 
 
-def legendre_1d(n: int, x):
-    """L_n(x) for scalar or array x."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    vals = legendre_table(arr, n)[:, n]
-    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
 def max_degree_per_dim(nus, k: int) -> list[int]:
     """Largest exponent of each of the k coordinates over the multiindices."""
     out = [0] * k
@@ -170,28 +163,26 @@ def project(f, index_set, grid: TensorGrid, min_margin: int = 1) -> SparsePolyno
     return SparsePolynomial(k, terms)
 
 
-def antiderivative_in_last(p: SparsePolynomial) -> SparsePolynomial:
-    """q with d/dx_k q = p and q(., -1) = 0, exactly in the Legendre basis.
+def legendre_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q_i(t_i) = sum_n B[i, n] L_n(t_i), one 1d series per row of B.
 
-    Uses int P_n = (P_{n+1} - P_{n-1}) / (2n+1), which vanishes at -1 for
-    n >= 1; the n = 0 term integrates to x + 1 = L_0 + L_1/sqrt(3).
+    t is (m,) or (m, s); the result has the shape of t.
     """
-    k = p.dim
-    out: dict[tuple, float] = {}
+    n1 = B.shape[1]
+    table = legendre_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
+    return np.einsum("m...n,mn->m...", table, B)
 
-    def add(nu, c):
-        nu = canon(nu)
-        out[nu] = out.get(nu, 0.0) + c
 
-    for nu, c in p.terms.items():
-        full = padded(nu, k)
-        head, n = full[:-1], full[-1]
-        if n == 0:
-            add(head + (0,), c)
-            add(head + (1,), c / math.sqrt(3.0))
-        else:
-            s = math.sqrt(2.0 * n + 1.0)
-            add(head + (n + 1,), c / (s * math.sqrt(2.0 * n + 3.0)))
-            add(head + (n - 1,), -c / (s * math.sqrt(2.0 * n - 1.0)))
-    out = {nu: c for nu, c in out.items() if c != 0.0}
-    return SparsePolynomial(k, out)
+def legendre_antiderivative(A: np.ndarray) -> np.ndarray:
+    """C (m, n+1): row i's series of (1/2) int_{-1}^{t} sum_n A[i, n] L_n.
+
+    Exact, from int P_n = (P_{n+1} - P_{n-1}) / (2n+1) for n >= 1 and
+    int_{-1}^{t} P_0 = P_0 + P_1, with L_n = s_n P_n, s_n = sqrt(2n+1).
+    """
+    m, n = A.shape
+    s = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    C = np.zeros((m, n + 1))
+    C[:, 1:] = A / (2.0 * s[:n] * s[1:])
+    C[:, 0] = 0.5 * A[:, 0]
+    C[:, : n - 1] -= A[:, 1:] / (2.0 * s[1:n] * s[: n - 1])
+    return C

@@ -2,18 +2,23 @@
 
 Component k maps x_k through the reference conditional CDF and back
 through the inverse of the target conditional CDF, with the prefix fed
-through the earlier components. All point operations are vectorized over
-batches of points; CDF inversion is a bracketed bisection-Newton hybrid.
+through the earlier components. Per prefix, the conditional density
+f_k(prefix, .) becomes one Legendre series in t: its exact antiderivative
+is the CDF, and the bracketed bisection-Newton root solve works on that
+series alone. All point operations are vectorized over batches of points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .density import Density, conditional
-from .quadrature import integrate_from_minus_one
+from .polybasis import legendre_antiderivative, legendre_series
+from .quadrature import gauss_legendre
 
 DEFAULT_CDF_ORDER = 32
+MAX_CDF_ORDER = 256
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_ROOT_MAXIT = 200
 
@@ -23,8 +28,8 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     """Solve F(t) = y for strictly increasing vectorized F on [lo, hi].
 
     Newton steps (when fprime is given) safeguarded by bisection on a
-    maintained bracket; converges for any continuous increasing F. y is
-    clamped into [F(lo), F(hi)] to absorb quadrature-level overshoot.
+    maintained bracket. Raises ValueError if [F(lo), F(hi)] misses some y
+    by more than tol, or if some |F(t) - y| is above tol after maxiter steps.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     m = y.shape[0]
@@ -34,12 +39,13 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     fb = np.asarray(F(b), dtype=np.float64) - y
     if np.any(fa > tol) or np.any(fb < -tol):
         raise ValueError("target values do not bracket: monotonicity broken upstream")
-    # endpoints already solve (within tol) -> avoid division issues later
     t = 0.5 * (a + b)
-    for _ in range(maxiter):
+    for it in range(maxiter + 1):
         ft = np.asarray(F(t), dtype=np.float64) - y
         done = np.abs(ft) <= tol
         if np.all(done):
+            return np.clip(t, lo, hi)
+        if it == maxiter:
             break
         neg = ft < 0
         a = np.where(neg, t, a)
@@ -53,7 +59,11 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
         else:
             tn = 0.5 * (a + b)
         t = np.where(done, t, tn)
-    return np.clip(t, lo, hi)
+    resid = np.abs(ft[~done])
+    raise ValueError(
+        f"{resid.size} of {m} roots unconverged after {maxiter} steps: "
+        f"worst residual {float(np.max(resid)):.3e} > tol {tol:g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -62,69 +72,84 @@ class ExactTransport:
 
     reference: Density
     target: Density
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.reference.d != self.target.d:
             raise ValueError("reference and target dimensions differ")
 
-    @property
-    def d(self) -> int:
-        return self.reference.d
+    def _density_series(self, f: Density, k: int, prefix) -> np.ndarray:
+        """A (m, n): Legendre coefficients in t of f_k(prefix_i, t).
+
+        f_k is sampled once on an n-point Gauss rule per prefix and
+        projected onto L_0..L_{n-1}. n starts at DEFAULT_CDF_ORDER and
+        doubles while the last two coefficients exceed DEFAULT_ROOT_TOL, up
+        to MAX_CDF_ORDER. Trailing columns below 1e-15 max|A_0| (rounding)
+        are dropped, so a density linear in t keeps two.
+        """
+        m = prefix.shape[0]
+        n = DEFAULT_CDF_ORDER
+        while True:
+            rule = gauss_legendre(n)
+            pts = np.empty((m, n, k))
+            pts[:, :, : k - 1] = prefix[:, None, :]
+            pts[:, :, k - 1] = rule.nodes
+            vals = conditional(f, k, pts.reshape(m * n, k)).reshape(m, n)
+            A = (vals * rule.weights) @ kernels.legendre_table(rule.nodes, n - 1)
+            tail = float(np.max(np.abs(A[:, -2:]), initial=0.0))
+            if tail <= DEFAULT_ROOT_TOL:
+                break
+            if n >= MAX_CDF_ORDER:
+                raise ValueError(
+                    f"conditional density of component {k} is not resolved by "
+                    f"{n} Legendre coefficients: tail {tail:.3e} > "
+                    f"{DEFAULT_ROOT_TOL:g}"
+                )
+            n *= 2
+        scale = 1e-15 * np.max(np.abs(A[:, 0]), initial=0.0)
+        live = np.flatnonzero(np.any(np.abs(A) > scale, axis=0))
+        return A[:, : live[-1] + 1 if live.size else 1]
 
     def conditional_cdf(self, f: Density, k: int, prefix, t):
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
 
-        prefix: (m, k-1); t: (m,). A fixed DEFAULT_CDF_ORDER-point
-        Gauss-Legendre rule is mapped onto [-1, t] per point.
+        prefix: (m, k-1); t: (m,). The exact antiderivative of the
+        Legendre series of f_k(prefix, .), evaluated at t.
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-
-        def fk(s):
-            pts = np.concatenate(
-                [np.repeat(prefix, s.shape[1], axis=0), s.reshape(-1, 1)], axis=1
-            )
-            return conditional(f, k, pts).reshape(s.shape)
-
-        return integrate_from_minus_one(fk, t, DEFAULT_CDF_ORDER)
-
-    def _conditional(self, f: Density, k: int, prefix, t):
-        pts = np.concatenate(
-            [np.atleast_2d(prefix), np.atleast_1d(t).reshape(-1, 1)], axis=1
-        )
-        return conditional(f, k, pts)
+        C = legendre_antiderivative(self._density_series(f, k, prefix))
+        return legendre_series(C, t)
 
     def forward(self, x):
         """T(x) for x of shape (m, d) or a single point."""
+        return self._map(self.reference, self.target, x)
+
+    def inverse(self, y):
+        """S(y) with T(S(y)) = y: the KR map from target to reference."""
+        return self._map(self.target, self.reference, y)
+
+    def _map(self, src: Density, dst: Density, x):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        y = self._solve(self.reference, self.target, pts, pts.shape[1])
-        return y[0] if single else y
+        y = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
+        return y[0] if x.ndim == 1 else y
 
     def _solve(self, src: Density, dst: Density, x: np.ndarray,
                kmax: int) -> np.ndarray:
         """Components 1..kmax of the KR map from src to dst at x (m, >=kmax).
 
-        Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k);
-        returns y of shape (m, kmax).
+        Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k)
+        on the series of the dst conditional density; returns y (m, kmax).
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
         for k in range(1, kmax + 1):
-            xp = x[:, : k - 1]
-            yp = y[:, : k - 1]
-            u = self.conditional_cdf(src, k, xp, x[:, k - 1])
-
-            def F(t):
-                return self.conditional_cdf(dst, k, yp, t)
-
-            def dF(t):
-                return 0.5 * self._conditional(dst, k, yp, t)
-
-            u = np.clip(u, 0.0, 1.0)
-            y[:, k - 1] = invert_monotone(F, u, fprime=dF)
+            u = self.conditional_cdf(src, k, x[:, : k - 1], x[:, k - 1])
+            A = self._density_series(dst, k, y[:, : k - 1])
+            C = legendre_antiderivative(A)
+            y[:, k - 1] = invert_monotone(
+                lambda t: legendre_series(C, t), np.clip(u, 0.0, 1.0),
+                fprime=lambda t: 0.5 * legendre_series(A, t),
+            )
         return y
 
     def component(self, k: int, x):
@@ -136,25 +161,7 @@ class ExactTransport:
         """d/dx_k T_k = f_{ref;k}(x_[k]) / f_{tar;k}(T(x)_[k])."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = self._solve(self.reference, self.target, x, k)
-        num = conditional(self.reference, k, x[:, :k])
-        den = conditional(self.target, k, y)
-        return num / den
-
-    def inverse(self, y):
-        """S(y) with T(S(y)) = y: the KR map from target to reference."""
-        y = np.asarray(y, dtype=np.float64)
-        single = y.ndim == 1
-        pts = y[None, :] if single else y
-        x = self._solve(self.target, self.reference, pts, pts.shape[1])
-        return x[0] if single else x
-
-    def swapped(self) -> "ExactTransport":
-        """The transport with reference and target exchanged (this is T^{-1})."""
-        if "swapped" not in self._cache:
-            self._cache["swapped"] = ExactTransport(
-                reference=self.target, target=self.reference
-            )
-        return self._cache["swapped"]
+        return conditional(self.reference, k, x[:, :k]) / conditional(self.target, k, y)
 
 
 _DERIV_FLOOR = 1e-14

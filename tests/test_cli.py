@@ -227,6 +227,37 @@ def test_malformed_xi_is_config_error(tmp_path, capsys, command, spec):
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("command", [["transport", "eval"], ["distance"]],
+                         ids=["transport_eval", "distance"])
+@pytest.mark.parametrize("content", [None, "{}", "{not json"],
+                         ids=["missing", "empty_object", "invalid_json"])
+def test_bad_map_file_is_config_error(tmp_path, capsys, command, content):
+    map_file = tmp_path / "map.json"
+    if content is not None:
+        map_file.write_text(content)
+    cfg = _write(tmp_path, "m.json", {
+        "reference": UNIFORM2, "target": LINEAR2,
+        "map_file": str(map_file),
+        **({"mode": "approx", "points": [[0.1, 0.2]]}
+           if command[0] == "transport" else {}),
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, *command]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "map" in err["error"]
+
+
+def test_peaked_posterior_names_component(tmp_path, capsys):
+    # the conditional density of component 1 needs more than the largest
+    # Legendre series allowed: a numerical error naming the component
+    cfg = _write(tmp_path, "p.json", {
+        "A": [[4.0, 2.0]], "varsigma": [0.3], "sigma": 0.05,
+        "epsilon": 0.01, "n_samples": 100, "distance_grid_order": 12,
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, "study", "posterior"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "component 1" in err["error"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "krtransport.cli", "--help"],

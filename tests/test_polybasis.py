@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from krtransport.indexsets import IndexSet
+from krtransport.kernels import legendre_table
 from krtransport.polybasis import (
     SparsePolynomial,
-    antiderivative_in_last,
     canon,
     grlex_key,
-    legendre_1d,
+    legendre_antiderivative,
+    legendre_series,
     max_degree_per_dim,
     padded,
     project,
     sup_norm_bound,
     zero_polynomial,
 )
-from krtransport.quadrature import gauss_legendre, integrate, uniform_grid
+from krtransport.quadrature import gauss_legendre, uniform_grid
 
 
 def _index_set(k, members):
@@ -43,14 +44,14 @@ def test_legendre_1d_normalization():
     # int L_n^2 dmu = 1
     rule = gauss_legendre(20)
     for n in range(8):
-        vals = legendre_1d(n, rule.nodes)
+        vals = legendre_table(rule.nodes, n)[:, n]
         assert float((vals * vals) @ rule.weights) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_sup_norm_bound_attained_at_one():
     # |L_n| peaks at x = 1 with value sqrt(2n+1)
     for nu in [(0,), (3,), (2, 5), (1, 0, 4)]:
-        val = math.prod(legendre_1d(n, 1.0) for n in nu)
+        val = math.prod(legendre_table(np.ones(1), n)[0, n] for n in nu)
         assert sup_norm_bound(nu) == pytest.approx(val, rel=1e-13)
 
 
@@ -58,7 +59,8 @@ def test_sup_norm_bound_dominates_samples():
     rng = np.random.Generator(np.random.Philox(5))
     pts = rng.uniform(-1, 1, size=(500, 2))
     for nu in [(2, 3), (4, 1), (0, 6)]:
-        vals = legendre_1d(nu[0], pts[:, 0]) * legendre_1d(nu[1], pts[:, 1])
+        vals = (legendre_table(pts[:, 0], nu[0])[:, nu[0]]
+                * legendre_table(pts[:, 1], nu[1])[:, nu[1]])
         assert np.max(np.abs(vals)) <= sup_norm_bound(nu) + 1e-12
 
 
@@ -97,31 +99,34 @@ def test_max_degree_per_dim():
     assert lam.max_degree_per_dim() == [3, 2]
 
 
+def _random_series(seed, m=6, n=9):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng, rng.normal(size=(m, n))
+
+
 def test_antiderivative_exactness():
-    rng = np.random.Generator(np.random.Philox(2))
-    p = SparsePolynomial(2, {(): 0.4, (1,): 0.3, (1, 2): -0.2, (0, 3): 0.6})
-    q = antiderivative_in_last(p)
-    # q(., -1) = 0
-    pts = rng.uniform(-1, 1, size=(50, 2))
-    at_lo = pts.copy()
-    at_lo[:, 1] = -1.0
-    assert np.allclose(q.eval(at_lo), 0.0, atol=1e-13)
-    # d/dx2 q = p by finite differences
-    h = 1e-6
-    up, dn = pts.copy(), pts.copy()
-    up[:, 1] += h
-    dn[:, 1] -= h
-    deriv = (q.eval(up) - q.eval(dn)) / (2 * h)
-    assert np.allclose(deriv, p.eval(pts), atol=1e-8)
+    # (1/2) int_{-1}^t of each row's series: zero at -1, derivative is
+    # half the series (central differences on a degree-9 polynomial)
+    rng, A = _random_series(2)
+    C = legendre_antiderivative(A)
+    assert C.shape == (6, 10)
+    assert np.allclose(legendre_series(C, np.full(6, -1.0)), 0.0, atol=1e-14)
+    t = rng.uniform(-0.9, 0.9, size=6)
+    h = 1e-5
+    deriv = (legendre_series(C, t + h) - legendre_series(C, t - h)) / (2 * h)
+    assert np.allclose(deriv, 0.5 * legendre_series(A, t), atol=1e-8)
 
 
 def test_antiderivative_quadrature_consistency():
-    # integral over [-1,1] in the last variable equals 2 * mu-integral of p
-    p = SparsePolynomial(1, {(): 1.0, (2,): 0.5})
-    q = antiderivative_in_last(p)
-    total = q.eval(np.array([[1.0]]))[0]
-    mean = integrate(lambda x: p.eval(x), uniform_grid(6, 1))
-    assert total == pytest.approx(2.0 * mean, abs=1e-13)
+    # F(1) = A_0, and F(t) matches a Gauss rule mapped onto [-1, t]
+    rng, A = _random_series(3)
+    C = legendre_antiderivative(A)
+    assert np.allclose(legendre_series(C, np.ones(6)), A[:, 0], atol=1e-13)
+    t = rng.uniform(-1.0, 1.0, size=6)
+    rule = gauss_legendre(8)
+    s = -1.0 + np.outer(0.5 * (t + 1.0), rule.nodes + 1.0)
+    ref = 0.5 * (t + 1.0) * (legendre_series(A, s) @ rule.weights)
+    assert np.allclose(legendre_series(C, t), ref, atol=1e-13)
 
 
 def test_json_round_trip():

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from krtransport.density import gaussian_posterior, linear_density, uniform
-from krtransport.quadrature import integrate, uniform_grid
+from krtransport.density import (
+    conditional,
+    gaussian_posterior,
+    linear_density,
+    uniform,
+)
+from krtransport.quadrature import integrate, integrate_from_minus_one, uniform_grid
 from krtransport.transport import (
     ExactTransport,
     invert_monotone,
@@ -37,6 +42,13 @@ def test_invert_monotone_without_derivative():
 def test_invert_monotone_bracket_guard():
     with pytest.raises(ValueError):
         invert_monotone(lambda t: t, np.array([5.0]))
+
+
+def test_invert_monotone_unconverged_is_loud():
+    # sign jumps over 0.5 at t = 0: bisection shrinks onto 0 but the
+    # residual stays 0.5, which must be reported, not returned
+    with pytest.raises(ValueError, match=r"1 of 1 roots unconverged.*5\.000e-01"):
+        invert_monotone(np.sign, [0.5])
 
 
 def test_identity_transport():
@@ -89,7 +101,28 @@ def test_inverse_roundtrip_and_method_agreement():
     y = t.forward(pts)
     x = t.inverse(y)
     assert np.allclose(x, pts, atol=1e-9)
-    assert np.allclose(t.swapped().forward(y), x, atol=1e-9)
+    swapped = ExactTransport(reference=t.target, target=t.reference)
+    assert np.allclose(swapped.forward(y), x, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_conditional_cdf_matches_fine_rule(k):
+    # a peaked posterior: the CDF from one Legendre series per prefix
+    # against a 400-node Gauss rule mapped onto [-1, t]
+    pi = gaussian_posterior([[4.0, 2.0]], [0.3], 0.3)
+    t = ExactTransport(reference=uniform(2), target=pi)
+    rng = _rng(5)
+    prefix = rng.uniform(-1, 1, size=(40, k - 1))
+    s = rng.uniform(-1, 1, size=40)
+
+    def fk(nodes):
+        pts = np.empty(nodes.shape + (k,))
+        pts[..., : k - 1] = prefix[:, None, :]
+        pts[..., k - 1] = nodes
+        return conditional(pi, k, pts.reshape(-1, k)).reshape(nodes.shape)
+
+    ref = integrate_from_minus_one(fk, s, 400)
+    assert np.allclose(t.conditional_cdf(pi, k, prefix, s), ref, rtol=0, atol=1e-12)
 
 
 def test_pushforward_density_matches_target():
