@@ -154,10 +154,10 @@ def marginal_hat(f: Density, k: int, x):
     block = max(1, _EVAL_CHUNK // nt)
     for lo in range(0, m, block):
         xs = x[lo:lo + block]
-        full = np.concatenate(
-            [np.repeat(xs, nt, axis=0), np.tile(pts, (xs.shape[0], 1))], axis=1
-        )
-        vals = f.evaluate(full).reshape(xs.shape[0], nt)
+        full = np.empty((xs.shape[0], nt, f.d))
+        full[:, :, :k] = xs[:, None, :]
+        full[:, :, k:] = pts
+        vals = f.evaluate(full.reshape(-1, f.d)).reshape(xs.shape[0], nt)
         out[lo:lo + block] = vals @ w
     return out
 

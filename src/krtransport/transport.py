@@ -2,10 +2,12 @@
 
 Component k maps x_k through the reference conditional CDF and back
 through the inverse of the target conditional CDF, with the prefix fed
-through the earlier components. Per prefix, the conditional density
-f_k(prefix, .) becomes one Legendre series in t: its exact antiderivative
-is the CDF, and the bracketed bisection-Newton root solve works on that
-series alone. All point operations are vectorized over batches of points.
+through the earlier components. The conditional density f_k(prefix, .)
+becomes one series per distinct prefix: rows of a batch with bitwise-equal
+x_<k share one Legendre series in t, built from one marginal denominator.
+Its exact antiderivative is the CDF, and the bracketed bisection-Newton
+root solve works on that series alone. All point operations are
+vectorized over batches of points.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .density import Density, conditional
+from .density import Density, conditional, marginal_hat
 from .polybasis import legendre_antiderivative, legendre_series
 from .quadrature import gauss_legendre
 
@@ -66,6 +68,29 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     )
 
 
+def _single_group(m: int):
+    """(group, first) for m rows that all share the empty prefix."""
+    return np.zeros(m, dtype=np.intp), np.arange(min(m, 1))
+
+
+def _refine_groups(group: np.ndarray, col: np.ndarray):
+    """Split the row groups by the bit pattern of one more coordinate.
+
+    group: (m,) ids in [0, G); col: (m,) float64. Returns (group', first):
+    rows share an id in group' iff they share one in group and col is
+    bitwise equal; ids follow the (group, bits) sort order, so they do not
+    depend on the order of the rows. first holds one row index per id.
+    """
+    bits = col.view(np.int64)
+    order = np.lexsort((bits, group))
+    g, b = group[order], bits[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (b[1:] != b[:-1])
+    out = np.empty_like(group)
+    out[order] = np.cumsum(new) - 1
+    return out, order[new]
+
+
 @dataclass(frozen=True)
 class ExactTransport:
     """The KR transport T with T_sharp(reference) = target."""
@@ -81,19 +106,25 @@ class ExactTransport:
         """A (m, n): Legendre coefficients in t of f_k(prefix_i, t).
 
         f_k is sampled once on an n-point Gauss rule per prefix and
-        projected onto L_0..L_{n-1}. n starts at DEFAULT_CDF_ORDER and
-        doubles while the last two coefficients exceed DEFAULT_ROOT_TOL, up
-        to MAX_CDF_ORDER. Trailing columns below 1e-15 max|A_0| (rounding)
-        are dropped, so a density linear in t keeps two.
+        projected onto L_0..L_{n-1}: hat f_k on the (m, n, k) node array
+        over hat f_{k-1}, evaluated once per prefix. n starts at
+        DEFAULT_CDF_ORDER and doubles while the last two coefficients
+        exceed DEFAULT_ROOT_TOL, up to MAX_CDF_ORDER. Trailing columns below
+        1e-15 max|A_0| (rounding) are dropped, so a density linear in t
+        keeps two.
         """
         m = prefix.shape[0]
+        den = marginal_hat(f, k - 1, prefix)
+        if np.any(den <= 0):
+            raise ValueError("non-positive marginal encountered")
         n = DEFAULT_CDF_ORDER
         while True:
             rule = gauss_legendre(n)
             pts = np.empty((m, n, k))
             pts[:, :, : k - 1] = prefix[:, None, :]
             pts[:, :, k - 1] = rule.nodes
-            vals = conditional(f, k, pts.reshape(m * n, k)).reshape(m, n)
+            num = marginal_hat(f, k, pts.reshape(m * n, k)).reshape(m, n)
+            vals = num / den[:, None]
             A = (vals * rule.weights) @ kernels.legendre_table(rule.nodes, n - 1)
             tail = float(np.max(np.abs(A[:, -2:]), initial=0.0))
             if tail <= DEFAULT_ROOT_TOL:
@@ -113,12 +144,16 @@ class ExactTransport:
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
 
         prefix: (m, k-1); t: (m,). The exact antiderivative of the
-        Legendre series of f_k(prefix, .), evaluated at t.
+        Legendre series of f_k(prefix, .), built once per distinct prefix
+        and evaluated at t.
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        C = legendre_antiderivative(self._density_series(f, k, prefix))
-        return legendre_series(C, t)
+        group, first = _single_group(prefix.shape[0])
+        for j in range(prefix.shape[1]):
+            group, first = _refine_groups(group, prefix[:, j])
+        C = legendre_antiderivative(self._density_series(f, k, prefix[first]))
+        return legendre_series(C[group], t)
 
     def forward(self, x):
         """T(x) for x of shape (m, d) or a single point."""
@@ -139,17 +174,28 @@ class ExactTransport:
 
         Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k)
         on the series of the dst conditional density; returns y (m, kmax).
+        Both series are built once per distinct prefix x_[k-1]: rows with
+        equal x_[k-1] have equal y_[k-1], as the map is triangular.
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
+        group, first = _single_group(m)
         for k in range(1, kmax + 1):
-            u = self.conditional_cdf(src, k, x[:, : k - 1], x[:, k - 1])
-            A = self._density_series(dst, k, y[:, : k - 1])
-            C = legendre_antiderivative(A)
-            y[:, k - 1] = invert_monotone(
+            if k > 1:
+                group, first = _refine_groups(group, x[:, k - 2])
+            A_src = self._density_series(src, k, x[first, : k - 1])
+            u = legendre_series(legendre_antiderivative(A_src)[group], x[:, k - 1])
+            A = self._density_series(dst, k, y[first, : k - 1])
+            C = legendre_antiderivative(A)[group]
+            A = A[group]
+            root = invert_monotone(
                 lambda t: legendre_series(C, t), np.clip(u, 0.0, 1.0),
                 fprime=lambda t: 0.5 * legendre_series(A, t),
             )
+            # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
+            # to +-1 exactly
+            xk = x[:, k - 1]
+            y[:, k - 1] = np.where(np.abs(xk) == 1.0, xk, root)
         return y
 
     def component(self, k: int, x):

@@ -1,9 +1,14 @@
 """Exact triangular transport: closed forms, pushforward identity, inverses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtransport.density import (
+    DEFAULT_MARGINAL_ORDER,
     conditional,
     gaussian_posterior,
     linear_density,
@@ -153,3 +158,103 @@ def test_single_point_shapes():
     x = t.inverse(y)
     assert x.shape == (2,)
     assert np.allclose(x, [0.1, -0.2], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "target", [linear_density([0.3, 0.2]), gaussian_posterior([[1.0, 0.4]], [0.2], 0.9)]
+)
+def test_empty_batch(target):
+    t = ExactTransport(reference=uniform(2), target=target)
+    empty = np.zeros((0, 2))
+    assert t.forward(empty).shape == (0, 2)
+    assert t.inverse(empty).shape == (0, 2)
+    for k in (1, 2):
+        assert t.component(k, empty[:, :k]).shape == (0,)
+        assert t.diag_deriv(k, empty[:, :k]).shape == (0,)
+    assert t.conditional_cdf(target, 2, np.zeros((0, 1)), np.zeros(0)).shape == (0,)
+
+
+def _mixed_batch(d, rng):
+    # a tensor grid (shared prefixes), random rows, and duplicated rows
+    q = np.linspace(-0.9, 0.8, 3)
+    grid = np.stack(np.meshgrid(*[q] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    rand = rng.uniform(-1, 1, size=(6, d))
+    return np.concatenate([grid, rand, grid[[0, 4]], rand[[1, 1, 3]]], axis=0)
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_grouped_batch_matches_rows_and_permutes(direction):
+    pi = gaussian_posterior([[1.0, 0.5, 0.25]], [0.3], 0.5)
+    t = ExactTransport(reference=uniform(3), target=pi)
+    rng = _rng(6)
+    x = _mixed_batch(3, rng)
+    run = getattr(t, direction)
+    y = run(x)
+    by_row = np.array([run(row) for row in x])
+    assert np.max(np.abs(y - by_row)) <= 1e-14
+    perm = rng.permutation(x.shape[0])
+    assert np.array_equal(run(x[perm]), y[perm])
+
+
+def test_series_built_once_per_distinct_prefix():
+    # a broad posterior: every conditional series stops at n = 32 nodes
+    pi = gaussian_posterior([[1.0, 0.5, 0.25]], [0.3], 0.9)
+    counted = []
+
+    def evaluate(x):
+        counted.append(x.shape[0])
+        return pi.evaluate(x)
+
+    t = ExactTransport(reference=uniform(3), target=replace(pi, evaluate=evaluate))
+    q, d, n, nq = 4, 3, 32, DEFAULT_MARGINAL_ORDER
+    grid = np.stack(
+        np.meshgrid(*[np.linspace(-0.8, 0.7, q)] * d, indexing="ij"), axis=-1
+    ).reshape(-1, d)
+    t.forward(grid)
+    # component k: q^(k-1) distinct prefixes, each with one denominator
+    # hat f_{k-1} (nq^(d-k+1) trailing nodes), then n numerator nodes
+    # hat f_k (nq^(d-k) trailing nodes each); every call fits one block
+    expect = []
+    for k in range(1, d + 1):
+        expect += [q ** (k - 1) * nq ** (d - k + 1), q ** (k - 1) * n * nq ** (d - k)]
+    assert counted == expect
+
+    # grouping is bitwise: a prefix one ulp away gets its own series
+    counted.clear()
+    prefix = np.repeat(grid[:5, :2], 3, axis=0)
+    prefix[0, 1] = np.nextafter(prefix[0, 1], 1.0)
+    t.conditional_cdf(t.target, 3, prefix, np.linspace(-1, 1, 15))
+    distinct = np.unique(prefix, axis=0).shape[0]
+    assert distinct == 3
+    assert counted == [distinct * nq, distinct * n]
+
+
+@st.composite
+def _linear_target_and_points(draw):
+    d = draw(st.integers(1, 4))
+    w = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    c = draw(st.floats(0.0, 0.9)) * w / max(float(np.sum(np.abs(w))), 1.0)
+    # few values per coordinate, so that many rows share a prefix
+    pool = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                           max_size=d), min_size=1, max_size=3)))
+    picks = draw(st.lists(st.lists(st.integers(0, pool.shape[0] - 1), min_size=d,
+                                   max_size=d), min_size=1, max_size=12))
+    x = pool[np.array(picks), np.arange(d)]
+    return linear_density(c), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear_target_and_points())
+def test_roundtrip_endpoints_monotone_property(target_points):
+    pi, x = target_points
+    d = pi.d
+    t = ExactTransport(reference=uniform(d), target=pi)
+    assert np.max(np.abs(t.inverse(t.forward(x)) - x)) <= 1e-10
+    xs = np.linspace(-1.0, 1.0, 9)
+    for k in range(1, d + 1):
+        line = np.repeat(x[:1, :k], xs.size, axis=0)
+        line[:, k - 1] = xs
+        vals = t.component(k, line)
+        assert abs(vals[0] + 1.0) <= 1e-12
+        assert abs(vals[-1] - 1.0) <= 1e-12
+        assert np.all(np.diff(vals) > 0)
