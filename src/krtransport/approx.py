@@ -12,12 +12,15 @@ Monotonicity holds for any p_k since the integrand is a square; an empty
 index set yields p_k = 0 and the identity component.
 
 For a fixed prefix, 1 + p_k is a 1d Legendre series q(t) = sum_n b_n L_n(t).
-Orthonormality gives c_k = 2 sum_n b_n^2, and the integral, derivative and
-inverse of the component need only that series.
+Orthonormality gives c_k = 2 sum_n b_n^2, and Tt_k = 2F - 1 with F the CDF
+of the density 2 q^2 / c_k: q^2 has degree 2N, so its values at 2N+1 Gauss
+nodes give the exact Legendre series of F, and the exact transport's
+series solver inverts it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +29,15 @@ import numpy as np
 from . import kernels
 from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
-from .polybasis import SparsePolynomial, legendre_series, project, zero_polynomial
-from .quadrature import TensorGrid, integrate_from_minus_one, tensor_grid
-from .transport import DEFAULT_ROOT_TOL, ExactTransport, invert_monotone
+from .polybasis import (
+    SparsePolynomial,
+    legendre_antiderivative,
+    legendre_series,
+    project,
+    zero_polynomial,
+)
+from .quadrature import TensorGrid, gauss_legendre, tensor_grid
+from .transport import ExactTransport, _invert_cdf
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
@@ -89,19 +98,21 @@ def projection_grid(
     return tensor_grid(orders)
 
 
-def _component(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """-1 + (2/c) int_{-1}^{t} q^2, clipped into [-1, 1] against rounding.
+@lru_cache(maxsize=None)
+def _square_cdf_matrices(n1: int):
+    """(L, M) for series q of length n1 = N + 1, as read-only arrays.
 
-    q^2 has degree 2N in t, so the N+1 point rule on [-1, t] is exact.
+    q at the 2N+1 Gauss nodes is B @ L, and (q * q) @ M holds the Legendre
+    coefficients of (1/2) int_{-1}^{t} q^2: the rule projects q^2 (degree
+    2N) exactly, and the antiderivative of the projection is exact.
     """
-    half = integrate_from_minus_one(lambda s: legendre_series(B, s) ** 2, t,
-                                    B.shape[1])
-    return np.clip(-1.0 + 4.0 * half / c, -1.0, 1.0)
-
-
-def _slope(B: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dt of _component: 2 q(t)^2 / c >= 0."""
-    return 2.0 * legendre_series(B, t) ** 2 / c
+    rule = gauss_legendre(2 * n1 - 1)
+    L = kernels.legendre_table(rule.nodes, n1 - 1).T.copy()
+    M = legendre_antiderivative(
+        rule.weights[:, None] * kernels.legendre_table(rule.nodes, 2 * n1 - 2))
+    L.setflags(write=False)
+    M.setflags(write=False)
+    return L, M
 
 
 @dataclass(frozen=True)
@@ -156,13 +167,20 @@ class RationalComponent:
             return np.full(prefix.shape[0], 2.0)
         return self._c(self._t_coeffs(prefix))
 
+    def _cdf(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(m, 2N+2): the Legendre series in t of the CDF of 2 q^2 / c."""
+        L, M = _square_cdf_matrices(B.shape[1])
+        q = B @ L
+        return ((q * q) @ M) * (2.0 / c)[:, None]
+
     def eval(self, x) -> np.ndarray:
-        """Tt_k at points x of shape (m, k)."""
+        """Tt_k = 2F - 1 at points x of shape (m, k), clipped into [-1, 1]."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return x[:, -1].copy()
         B = self._t_coeffs(x[:, :-1])
-        return _component(B, self._c(B), x[:, -1])
+        F = legendre_series(self._cdf(B, self._c(B)), x[:, -1])
+        return np.clip(2.0 * F - 1.0, -1.0, 1.0)
 
     def deriv(self, x) -> np.ndarray:
         """d/dx_k Tt_k = 2 q(x_k)^2 / c_k >= 0."""
@@ -170,20 +188,20 @@ class RationalComponent:
         if self.is_identity:
             return np.ones(x.shape[0])
         B = self._t_coeffs(x[:, :-1])
-        return _slope(B, self._c(B), x[:, -1])
+        return 2.0 * legendre_series(B, x[:, -1]) ** 2 / self._c(B)
 
     def invert(self, prefix, y) -> np.ndarray:
-        """t with Tt_k(prefix, t) = y, by monotone root-finding in t alone."""
+        """t with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the CDF series."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
             return y.copy()
         B = self._t_coeffs(prefix)
         c = self._c(B)
-        return invert_monotone(
-            lambda t: _component(B, c, t), np.clip(y, -1.0, 1.0),
-            fprime=lambda t: _slope(B, c, t),
-            tol=DEFAULT_ROOT_TOL,
+        n1 = B.shape[1]
+        return _invert_cdf(
+            self._cdf(B, c), 0.5 * (y + 1.0),
+            lambda L: np.einsum("mn,mn->m", L[:, :n1], B) ** 2 / c,
         )
 
     def to_json(self) -> dict:

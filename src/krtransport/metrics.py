@@ -11,12 +11,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .quadrature import (
-    TensorGrid,
-    gauss_legendre,
-    integrate_from_minus_one,
-    tensor_grid,
-)
+from . import kernels
+from .polybasis import legendre_antiderivative
+from .quadrature import TensorGrid, gauss_legendre, tensor_grid
 from .transport import pushforward_density
 
 W1_CDF_ORDER = 64
@@ -49,19 +46,34 @@ def _grid_values(f, g, grid: TensorGrid):
     return fv, gv, w
 
 
-def hellinger(f, g, grid: TensorGrid) -> float:
-    """((1/2) int (sqrt f - sqrt g)^2 dmu)^(1/2)."""
-    fv, gv, w = _grid_values(f, g, grid)
+def _hellinger(fv, gv, w) -> float:
     if np.any(fv < 0) or np.any(gv < 0):
         raise ValueError("negative density values in Hellinger integrand")
     diff = np.sqrt(fv) - np.sqrt(gv)
     return float(np.sqrt(0.5 * ((diff * diff) @ w)))
 
 
+def _total_variation(fv, gv, w) -> float:
+    return float(0.5 * (np.abs(fv - gv) @ w))
+
+
+def _kl_divergence(fv, gv, w) -> float:
+    support = fv > 0
+    if np.any(gv[support] <= 0):
+        return math.inf
+    out = np.zeros_like(fv)
+    out[support] = fv[support] * np.log(fv[support] / gv[support])
+    return float(out @ w)
+
+
+def hellinger(f, g, grid: TensorGrid) -> float:
+    """((1/2) int (sqrt f - sqrt g)^2 dmu)^(1/2)."""
+    return _hellinger(*_grid_values(f, g, grid))
+
+
 def total_variation(f, g, grid: TensorGrid) -> float:
     """(1/2) int |f - g| dmu."""
-    fv, gv, w = _grid_values(f, g, grid)
-    return float(0.5 * (np.abs(fv - gv) @ w))
+    return _total_variation(*_grid_values(f, g, grid))
 
 
 def total_variation_oversampled(f, g, grid: TensorGrid) -> float:
@@ -72,13 +84,7 @@ def total_variation_oversampled(f, g, grid: TensorGrid) -> float:
 
 def kl_divergence(f, g, grid: TensorGrid) -> float:
     """int f log(f/g) dmu; +inf when g vanishes on the support of f."""
-    fv, gv, w = _grid_values(f, g, grid)
-    support = fv > 0
-    if np.any(gv[support] <= 0):
-        return math.inf
-    out = np.zeros_like(fv)
-    out[support] = fv[support] * np.log(fv[support] / gv[support])
-    return float(out @ w)
+    return _kl_divergence(*_grid_values(f, g, grid))
 
 
 def wasserstein1_bound(f, g, d: int, grid: TensorGrid) -> float:
@@ -86,30 +92,44 @@ def wasserstein1_bound(f, g, d: int, grid: TensorGrid) -> float:
     return 2.0 * math.sqrt(d) * total_variation(f, g, grid)
 
 
+def _wasserstein1_1d(f, g) -> float:
+    """int_{-1}^{1} |F - G| dt, F and G the CDFs of f and g.
+
+    f - g is projected onto L_0..L_{n-1} on the n = W1_CDF_ORDER Gauss
+    nodes; the exact antiderivative of that series is F - G, evaluated
+    back on the same nodes.
+    """
+    fv, gv, w = _grid_values(f, g, tensor_grid([W1_CDF_ORDER]))
+    table = kernels.legendre_table(gauss_legendre(W1_CDF_ORDER).nodes, W1_CDF_ORDER)
+    C = legendre_antiderivative((((fv - gv) * w) @ table[:, :-1])[None, :])
+    # the weights are mu-normalized; Lebesgue measure of [-1,1] is 2
+    return float(2.0 * (np.abs(table @ C[0]) @ w))
+
+
 def wasserstein1(f, g, d: int, grid: TensorGrid):
     """(value, is_exact). Exact CDF formula for d = 1; diam*TV bound else."""
     if d == 1:
-        outer = gauss_legendre(W1_CDF_ORDER)
-        ff, gg = _as_fn(f), _as_fn(g)
-
-        def cdf(fn, t):
-            return integrate_from_minus_one(
-                lambda s: fn(s.reshape(-1, 1)).reshape(s.shape), t, W1_CDF_ORDER
-            )
-
-        gap = np.abs(cdf(ff, outer.nodes) - cdf(gg, outer.nodes))
-        # outer weights are mu-normalized; Lebesgue measure of [-1,1] is 2
-        return float(2.0 * (gap @ outer.weights)), True
+        return _wasserstein1_1d(f, g), True
     return wasserstein1_bound(f, g, d, grid), False
 
 
 def distance_report(f, g, d: int, grid: TensorGrid,
                     oversample_tv: bool = False) -> DistanceReport:
-    w1, exact = wasserstein1(f, g, d, grid)
+    """All four distances from one evaluation of f and g on the grid.
+
+    The d = 1 Wasserstein distance is exact and evaluates both densities
+    on its own nodes; for d > 1 it is the diam * TV bound.
+    """
+    fv, gv, w = _grid_values(f, g, grid)
+    tv = _total_variation(fv, gv, w)
+    if d == 1:
+        w1, exact = _wasserstein1_1d(f, g), True
+    else:
+        w1, exact = 2.0 * math.sqrt(d) * tv, False
     return DistanceReport(
-        hellinger=hellinger(f, g, grid),
-        tv=total_variation(f, g, grid),
-        kl=kl_divergence(f, g, grid),
+        hellinger=_hellinger(fv, gv, w),
+        tv=tv,
+        kl=_kl_divergence(fv, gv, w),
         w1=w1,
         w1_exact=exact,
         tv_oversampled=(

@@ -4,10 +4,13 @@ Component k maps x_k through the reference conditional CDF and back
 through the inverse of the target conditional CDF, with the prefix fed
 through the earlier components. The conditional density f_k(prefix, .)
 becomes one series per distinct prefix: rows of a batch with bitwise-equal
-x_<k share one Legendre series in t, built from one marginal denominator.
-Its exact antiderivative is the CDF, and the bracketed bisection-Newton
-root solve works on that series alone. All point operations are
-vectorized over batches of points.
+x_<k share one Legendre series in t of the marginal hat f_k(prefix, .),
+divided by its own mass A_0, so that the CDF (its exact antiderivative)
+reaches 1 at t = 1 up to rounding. The bracketed bisection-Newton root
+solve works on that series alone, and the diagonal derivative is the
+ratio of the two density series. The rational components of
+``approx`` hand their CDF series to the same solver. All point operations
+are vectorized over batches of points.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .density import Density, conditional, marginal_hat
+from .density import Density, marginal_hat
 from .polybasis import legendre_antiderivative, legendre_series
 from .quadrature import gauss_legendre
 
@@ -23,6 +26,10 @@ DEFAULT_CDF_ORDER = 32
 MAX_CDF_ORDER = 256
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_ROOT_MAXIT = 200
+# entries of the node array filled per marginal_hat call: one (m, n, k)
+# array for all prefixes reached 17 MB in the d = 32 truncation study, whose
+# peak RSS then swung between 83 and 97 MB from run to run (74-78 MB now)
+_NODE_BLOCK = 1 << 19
 
 
 def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
@@ -68,6 +75,32 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     )
 
 
+def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
+    """t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF series in row i of C.
+
+    C (m, n): Legendre coefficients of CDFs with F(-1) = 0 and F(1) = 1 up
+    to rounding; u is clipped into [0, 1]. slope(table) returns F' from the
+    (m, n) Legendre table at t. Each Newton step builds one table and reads
+    F and F' off it; only F' at the latest t is kept, so no table outlives
+    its step (holding it until the F' call raised the peak RSS of the d = 32
+    truncation study from 82 to 97 MB in a single-threaded run).
+    """
+    n = C.shape[1]
+    held = [None, None]  # the latest t and F' there
+
+    def F(t):
+        table = kernels.legendre_table(t, n - 1)
+        held[:] = t, slope(table)
+        return np.einsum("mn,mn->m", table, C)
+
+    def fprime(t):
+        if held[0] is not t:
+            F(t)
+        return held[1]
+
+    return invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
+
+
 def _single_group(m: int):
     """(group, first) for m rows that all share the empty prefix."""
     return np.zeros(m, dtype=np.intp), np.arange(min(m, 1))
@@ -105,27 +138,31 @@ class ExactTransport:
     def _density_series(self, f: Density, k: int, prefix) -> np.ndarray:
         """A (m, n): Legendre coefficients in t of f_k(prefix_i, t).
 
-        f_k is sampled once on an n-point Gauss rule per prefix and
-        projected onto L_0..L_{n-1}: hat f_k on the (m, n, k) node array
-        over hat f_{k-1}, evaluated once per prefix. n starts at
-        DEFAULT_CDF_ORDER and doubles while the last two coefficients
-        exceed DEFAULT_ROOT_TOL, up to MAX_CDF_ORDER. Trailing columns below
-        1e-15 max|A_0| (rounding) are dropped, so a density linear in t
-        keeps two.
+        hat f_k is sampled once on an n-point Gauss rule per prefix (the
+        (m, n, k) node array, filled _NODE_BLOCK entries at a time),
+        projected onto L_0..L_{n-1}, and divided by
+        its own mass A_0, so every row has A_0 = 1. n starts at
+        DEFAULT_CDF_ORDER and doubles while the last two coefficients exceed
+        DEFAULT_ROOT_TOL, up to MAX_CDF_ORDER. Trailing columns below 1e-15
+        (rounding) are dropped, so a density linear in t keeps two.
         """
         m = prefix.shape[0]
-        den = marginal_hat(f, k - 1, prefix)
-        if np.any(den <= 0):
-            raise ValueError("non-positive marginal encountered")
         n = DEFAULT_CDF_ORDER
         while True:
             rule = gauss_legendre(n)
-            pts = np.empty((m, n, k))
-            pts[:, :, : k - 1] = prefix[:, None, :]
-            pts[:, :, k - 1] = rule.nodes
-            num = marginal_hat(f, k, pts.reshape(m * n, k)).reshape(m, n)
-            vals = num / den[:, None]
+            vals = np.empty((m, n))
+            step = max(1, _NODE_BLOCK // (n * k))
+            for lo in range(0, m, step):
+                p = prefix[lo:lo + step]
+                pts = np.empty((p.shape[0], n, k))
+                pts[:, :, : k - 1] = p[:, None, :]
+                pts[:, :, k - 1] = rule.nodes
+                vals[lo:lo + step] = marginal_hat(
+                    f, k, pts.reshape(-1, k)).reshape(-1, n)
             A = (vals * rule.weights) @ kernels.legendre_table(rule.nodes, n - 1)
+            if np.any(A[:, 0] <= 0):
+                raise ValueError("non-positive marginal encountered")
+            A /= A[:, :1]
             tail = float(np.max(np.abs(A[:, -2:]), initial=0.0))
             if tail <= DEFAULT_ROOT_TOL:
                 break
@@ -136,16 +173,15 @@ class ExactTransport:
                     f"{DEFAULT_ROOT_TOL:g}"
                 )
             n *= 2
-        scale = 1e-15 * np.max(np.abs(A[:, 0]), initial=0.0)
-        live = np.flatnonzero(np.any(np.abs(A) > scale, axis=0))
+        live = np.flatnonzero(np.any(np.abs(A) > 1e-15, axis=0))
         return A[:, : live[-1] + 1 if live.size else 1]
 
     def conditional_cdf(self, f: Density, k: int, prefix, t):
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
 
         prefix: (m, k-1); t: (m,). The exact antiderivative of the
-        Legendre series of f_k(prefix, .), built once per distinct prefix
-        and evaluated at t.
+        normalised Legendre series of f_k(prefix, .), built once per
+        distinct prefix and evaluated at t.
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -165,17 +201,18 @@ class ExactTransport:
 
     def _map(self, src: Density, dst: Density, x):
         x = np.asarray(x, dtype=np.float64)
-        y = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
+        y, _ = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
         return y[0] if x.ndim == 1 else y
 
-    def _solve(self, src: Density, dst: Density, x: np.ndarray,
-               kmax: int) -> np.ndarray:
+    def _solve(self, src: Density, dst: Density, x: np.ndarray, kmax: int):
         """Components 1..kmax of the KR map from src to dst at x (m, >=kmax).
 
         Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k)
-        on the series of the dst conditional density; returns y (m, kmax).
-        Both series are built once per distinct prefix x_[k-1]: rows with
-        equal x_[k-1] have equal y_[k-1], as the map is triangular.
+        on the series of the dst conditional density. Both series are
+        built once per distinct prefix x_[k-1]: rows with equal x_[k-1]
+        have equal y_[k-1], as the map is triangular. Returns y (m, kmax)
+        and d/dx_k y_kmax = f_src;kmax(x) / f_dst;kmax(y), read off the
+        same series; one table at x_k gives both F_src and f_src.
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
@@ -183,31 +220,35 @@ class ExactTransport:
         for k in range(1, kmax + 1):
             if k > 1:
                 group, first = _refine_groups(group, x[:, k - 2])
+            xk = x[:, k - 1]
             A_src = self._density_series(src, k, x[first, : k - 1])
-            u = legendre_series(legendre_antiderivative(A_src)[group], x[:, k - 1])
+            table = kernels.legendre_table(xk, A_src.shape[1])
+            u = np.einsum("mn,mn->m", table, legendre_antiderivative(A_src)[group])
+            a_src = np.einsum("mn,mn->m", table[:, :-1], A_src[group])
+            del table  # not held through the root solve
             A = self._density_series(dst, k, y[first, : k - 1])
             C = legendre_antiderivative(A)[group]
             A = A[group]
-            root = invert_monotone(
-                lambda t: legendre_series(C, t), np.clip(u, 0.0, 1.0),
-                fprime=lambda t: 0.5 * legendre_series(A, t),
-            )
+            n = A.shape[1]
+            root = _invert_cdf(
+                C, u, lambda L: 0.5 * np.einsum("mn,mn->m", L[:, :n], A))
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
-            xk = x[:, k - 1]
             y[:, k - 1] = np.where(np.abs(xk) == 1.0, xk, root)
-        return y
+        return y, a_src / legendre_series(A, y[:, kmax - 1])
 
     def component(self, k: int, x):
         """T_k at points x of shape (m, k)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._solve(self.reference, self.target, x, k)[:, k - 1]
+        return self._solve(self.reference, self.target, x, k)[0][:, k - 1]
 
     def diag_deriv(self, k: int, x):
-        """d/dx_k T_k = f_{ref;k}(x_[k]) / f_{tar;k}(T(x)_[k])."""
+        """d/dx_k T_k = f_{ref;k}(x_[k]) / f_{tar;k}(T(x)_[k]).
+
+        Both conditional densities are the series the solve builds.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = self._solve(self.reference, self.target, x, k)
-        return conditional(self.reference, k, x[:, :k]) / conditional(self.target, k, y)
+        return self._solve(self.reference, self.target, x, k)[1]
 
 
 _DERIV_FLOOR = 1e-14

@@ -122,6 +122,12 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     c = float(comp.normalization(prefix)[0])
     assert abs(c - reference) <= 1e-12 * reference
     x = np.concatenate([prefix, [[xk]]], axis=1)
+    # Tt_k = -1 + (2/c) int_{-1}^{x_k} q^2 by the same rule mapped onto [-1, x_k]
+    half = 0.5 * (xk + 1.0)
+    pts[:, -1] = -1.0 + half * (rule.nodes + 1.0)
+    q = 1.0 + comp.p.eval(pts)
+    expect = -1.0 + 4.0 * half * float((q * q) @ rule.weights) / reference
+    assert abs(comp.eval(x)[0] - expect) <= 1e-12
     # the solve stops at |Tt(t) - y| <= 1e-12, i.e. |t - x_k| <~ 1e-12 / Tt'
     assume(comp.deriv(x)[0] >= 0.02)
     back = comp.invert(prefix, comp.eval(x))
