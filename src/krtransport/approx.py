@@ -12,6 +12,11 @@ Monotonicity holds for any p_k since the integrand is a square; an empty
 index set yields p_k = 0 and the identity component.
 
 For a fixed prefix, 1 + p_k is a 1d Legendre series q(t) = sum_n b_n L_n(t).
+Its coefficients are one matrix product: p_k caches (H, W), the distinct
+head multi-indices H of its terms (over x_1..x_{k-1}) and the dense
+coefficient matrix W with W[h, n] the coefficient of the term (H[h], n), so
+b = Phi @ W (+1 on b_0), where Phi[i, h] = prod_j L_{H[h,j]}(x_ij) needs one
+Legendre table per prefix coordinate that H uses.
 Orthonormality gives c_k = 2 sum_n b_n^2, and Tt_k = 2F - 1 with F the CDF
 of the density 2 q^2 / c_k: q^2 has degree 2N, so its values at 2N+1 Gauss
 nodes give the exact Legendre series of F, and the exact transport's
@@ -37,7 +42,7 @@ from .polybasis import (
     zero_polynomial,
 )
 from .quadrature import TensorGrid, gauss_legendre, tensor_grid
-from .transport import ExactTransport, _invert_cdf
+from .transport import ExactTransport, _check_width, _invert_cdf
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
@@ -134,19 +139,17 @@ class RationalComponent:
     def _t_coeffs(self, prefix: np.ndarray) -> np.ndarray:
         """B (m, N+1): Legendre coefficients in t of 1 + p(prefix, t).
 
-        Row i is the 1d series q_i(t) = sum_n B[i, n] L_n(t): the terms of
-        p with last exponent n add their prefix products to column n.
+        Row i is the 1d series q_i(t) = sum_n B[i, n] L_n(t). With the
+        cached (H, W) of ``p.t_series``, B = Phi @ W (+1 on column 0), where
+        Phi[i, h] = prod_j L_{H[h,j]}(prefix[i, j]) takes one Legendre table
+        per prefix coordinate that H uses.
         """
-        exps, coeffs = self.p.arrays
-        head, last = exps[:, :-1], exps[:, -1]
-        nmax = int(head.max(initial=0))
-        tables = np.empty((prefix.shape[0], self.k - 1, nmax + 1))
-        for j in range(self.k - 1):
-            tables[:, j, :] = kernels.legendre_table(prefix[:, j], nmax)
-        B = np.zeros((prefix.shape[0], int(last.max(initial=0)) + 1))
-        for n in np.unique(last):
-            sel = last == n
-            B[:, n] = kernels.poly_eval_tables(tables, head[sel], coeffs[sel])
+        H, W = self.p.t_series
+        Phi = np.ones((prefix.shape[0], H.shape[0]))
+        for j in np.flatnonzero(H.any(axis=0)):
+            table = kernels.legendre_table(prefix[:, j], int(H[:, j].max()))
+            Phi *= table[:, H[:, j]]
+        B = Phi @ W
         B[:, 0] += 1.0
         return B
 
@@ -259,6 +262,7 @@ class ApproxTransport:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = x[None, :] if single else x
+        _check_width(pts, self.d)
         y = np.empty_like(pts)
         for k in range(1, pts.shape[1] + 1):
             y[:, k - 1] = self.components[k - 1].eval(pts[:, :k])
@@ -268,6 +272,7 @@ class ApproxTransport:
         y = np.asarray(y, dtype=np.float64)
         single = y.ndim == 1
         pts = y[None, :] if single else y
+        _check_width(pts, self.d)
         x = np.empty_like(pts)
         for k in range(1, pts.shape[1] + 1):
             x[:, k - 1] = self.components[k - 1].invert(x[:, : k - 1], pts[:, k - 1])

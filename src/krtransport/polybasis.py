@@ -81,6 +81,23 @@ class SparsePolynomial:
         coeffs.setflags(write=False)
         return exps, coeffs
 
+    @cached_property
+    def t_series(self):
+        """(H (nh, dim-1), W (nh, N+1)): p as a series in its last coordinate.
+
+        p(x) = sum_{h,n} W[h, n] prod_j L_{H[h,j]}(x_j) L_n(x_dim), where H
+        holds the distinct head multi-indices and N is the largest last
+        exponent; built once, read-only.
+        """
+        exps, coeffs = self.arrays
+        H, h = np.unique(exps[:, :-1], axis=0, return_inverse=True)
+        last = exps[:, -1]
+        W = np.zeros((H.shape[0], int(last.max(initial=0)) + 1))
+        W[h.reshape(-1), last] = coeffs  # every (head, last) pair is one term
+        H.setflags(write=False)
+        W.setflags(write=False)
+        return H, W
+
     def __call__(self, x):
         return self.eval(x)
 

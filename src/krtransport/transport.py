@@ -7,10 +7,11 @@ becomes one series per distinct prefix: rows of a batch with bitwise-equal
 x_<k share one Legendre series in t of the marginal hat f_k(prefix, .),
 divided by its own mass A_0, so that the CDF (its exact antiderivative)
 reaches 1 at t = 1 up to rounding. The bracketed bisection-Newton root
-solve works on that series alone, and the diagonal derivative is the
-ratio of the two density series. The rational components of
-``approx`` hand their CDF series to the same solver. All point operations
-are vectorized over batches of points.
+solve works on that series alone and starts each root at the regula-falsi
+point of the bracket [-1, 1], where F(-1) and F(1) are already known for
+the bracket check. The diagonal derivative is the ratio of the two density
+series. The rational components of ``approx`` hand their CDF series to the
+same solver. All point operations are vectorized over batches of points.
 """
 
 from dataclasses import dataclass
@@ -36,9 +37,13 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
                     maxiter=DEFAULT_ROOT_MAXIT):
     """Solve F(t) = y for strictly increasing vectorized F on [lo, hi].
 
-    Newton steps (when fprime is given) safeguarded by bisection on a
-    maintained bracket. Raises ValueError if [F(lo), F(hi)] misses some y
-    by more than tol, or if some |F(t) - y| is above tol after maxiter steps.
+    Each row starts at the regula-falsi point of the bracket,
+    lo - fa (hi - lo) / (fb - fa) with fa = F(lo) - y and fb = F(hi) - y, so
+    a linear F is solved at its first evaluation. Then Newton steps (when
+    fprime is given) safeguarded by bisection on a maintained bracket. A
+    start or step that is not finite or leaves the open bracket falls back
+    to its midpoint. Raises ValueError if [F(lo), F(hi)] misses some y by
+    more than tol, or if some |F(t) - y| is above tol after maxiter steps.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     m = y.shape[0]
@@ -48,7 +53,8 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     fb = np.asarray(F(b), dtype=np.float64) - y
     if np.any(fa > tol) or np.any(fb < -tol):
         raise ValueError("target values do not bracket: monotonicity broken upstream")
-    t = 0.5 * (a + b)
+    with np.errstate(all="ignore"):
+        t = _inside(a - fa * (b - a) / (fb - fa), a, b)
     for it in range(maxiter + 1):
         ft = np.asarray(F(t), dtype=np.float64) - y
         done = np.abs(ft) <= tol
@@ -62,9 +68,7 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
         if fprime is not None:
             dft = np.asarray(fprime(t), dtype=np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
-                tn = t - ft / dft
-            bad = ~np.isfinite(tn) | (tn <= a) | (tn >= b)
-            tn = np.where(bad, 0.5 * (a + b), tn)
+                tn = _inside(t - ft / dft, a, b)
         else:
             tn = 0.5 * (a + b)
         t = np.where(done, t, tn)
@@ -73,6 +77,12 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
         f"{resid.size} of {m} roots unconverged after {maxiter} steps: "
         f"worst residual {float(np.max(resid)):.3e} > tol {tol:g}"
     )
+
+
+def _inside(t, a, b):
+    """t where it is finite and inside (a, b), the midpoint elsewhere."""
+    bad = ~np.isfinite(t) | (t <= a) | (t >= b)
+    return np.where(bad, 0.5 * (a + b), t)
 
 
 def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
@@ -99,6 +109,13 @@ def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
         return held[1]
 
     return invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
+
+
+def _check_width(x: np.ndarray, d: int):
+    """Raise ValueError unless the points x have d coordinates."""
+    w = x.shape[-1] if x.ndim else 0
+    if w != d:
+        raise ValueError(f"expected points with {d} coordinates, got {w}")
 
 
 def _single_group(m: int):
@@ -201,6 +218,7 @@ class ExactTransport:
 
     def _map(self, src: Density, dst: Density, x):
         x = np.asarray(x, dtype=np.float64)
+        _check_width(x, self.reference.d)
         y, _ = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
         return y[0] if x.ndim == 1 else y
 

@@ -15,8 +15,10 @@ from krtransport.approx import (
     projection_grid,
     sqrt_shift_target,
 )
+from krtransport import transport
 from krtransport.density import linear_density, uniform
 from krtransport.indexsets import IndexSet, WeightVector, enumerate_lambda
+from krtransport.kernels import legendre_table, poly_eval_tables
 from krtransport.polybasis import SparsePolynomial, canon, zero_polynomial
 from krtransport.quadrature import gauss_legendre
 from krtransport.transport import ExactTransport
@@ -132,6 +134,78 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     assume(comp.deriv(x)[0] >= 0.02)
     back = comp.invert(prefix, comp.eval(x))
     assert abs(back[0] - xk) <= 1e-10
+
+
+def _t_coeffs_term_by_term(p, prefix):
+    """B of 1 + p(prefix, t), summing the terms of each last exponent."""
+    exps, coeffs = p.arrays
+    head, last = exps[:, :-1], exps[:, -1]
+    nmax = int(head.max(initial=0))
+    tables = np.empty((prefix.shape[0], p.dim - 1, nmax + 1))
+    for j in range(p.dim - 1):
+        tables[:, j, :] = legendre_table(prefix[:, j], nmax)
+    B = np.zeros((prefix.shape[0], int(last.max(initial=0)) + 1))
+    for n in np.unique(last):
+        sel = last == n
+        B[:, n] = poly_eval_tables(tables, head[sel], coeffs[sel])
+    B[:, 0] += 1.0
+    return B
+
+
+@st.composite
+def _component_and_prefixes(draw):
+    """k = 1..4; heads on a random subset of the prefix coordinates, which
+    may be empty (only last exponents); no terms gives the identity."""
+    k = draw(st.integers(1, 4))
+    used = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    head = st.tuples(*[st.integers(0, 4) if u else st.just(0) for u in used])
+    nus = st.tuples(head, st.integers(0, 5)).map(lambda hn: hn[0] + (hn[1],))
+    terms = draw(st.dictionaries(nus, _COEFF, max_size=12))
+    p = SparsePolynomial(k, {canon(nu): c for nu, c in terms.items()})
+    m = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.floats(-1.0, 1.0), min_size=m * (k - 1),
+                         max_size=m * (k - 1)))
+    return RationalComponent(k=k, p=p), np.array(flat).reshape(m, k - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_component_and_prefixes())
+def test_t_coeffs_matches_term_by_term(comp_prefix):
+    comp, prefix = comp_prefix
+    expect = _t_coeffs_term_by_term(comp.p, prefix)
+    got = comp._t_coeffs(prefix)
+    assert got.shape == expect.shape
+    scale = float(np.max(np.abs(expect)))
+    assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+
+def test_inverse_solve_count_on_2d_map(monkeypatch):
+    # the benchmark's 2d map: a regula-falsi start plus Newton takes about
+    # 6 F evaluations per root here, the two bracket ends included
+    # (a midpoint start takes 9.4)
+    from krtransport.indexsets import xi_from_anisotropy
+
+    pi = linear_density([0.3, 0.2])
+    tmap = build_approx_transport(uniform(2), pi,
+                                  xi_from_anisotropy(pi.anisotropy, 0.5), 1e-6)
+    assert tmap.n_eps == 104
+    solve = transport.invert_monotone
+    counts = {"F": 0, "roots": 0}
+
+    def counted(F, y, *args, **kwargs):
+        def F_counted(t):
+            counts["F"] += np.size(t)
+            return F(t)
+
+        counts["roots"] += np.size(y)
+        return solve(F_counted, y, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "invert_monotone", counted)
+    y = _rng(11).uniform(-1.0, 1.0, size=(100, 2))
+    x = tmap.inverse(y)
+    assert counts["roots"] == 200
+    assert counts["F"] / counts["roots"] <= 6.5
+    assert np.allclose(tmap.forward(x), y, atol=1e-10)
 
 
 def test_sqrt_shift_target_identity_is_zero():

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from krtransport.approx import build_approx_transport
 from krtransport.density import linear_density, uniform
 from krtransport.indexsets import xi_from_anisotropy
 from krtransport.studies import (
     CSV_HEADER,
     RateFit,
     SweepRecord,
+    component_sup_errors,
     convergence_study,
     fit_rate,
     posterior_demo,
@@ -18,6 +20,7 @@ from krtransport.studies import (
     rng_from_seed,
     truncation_study,
 )
+from krtransport.transport import ExactTransport
 
 
 EPS_LIST = [0.1, 0.03, 0.01, 0.003]
@@ -60,6 +63,31 @@ def test_fit_rate_degenerate_cases():
     assert fit.status == "degenerate"
     with pytest.raises(ValueError):
         fit_rate([1, 2, 3], [1, 1, 1], "bogus")
+
+
+def test_component_sup_errors_solves_once_per_k(monkeypatch):
+    pi = linear_density([0.3, 0.2])
+    rho = uniform(2)
+    exact = ExactTransport(reference=rho, target=pi)
+    approx = build_approx_transport(rho, pi, xi_from_anisotropy(pi.anisotropy, 0.5),
+                                    1e-2, exact=exact)
+    pts = rng_from_seed(3).uniform(-1.0, 1.0, size=(32, 2))
+    expect = {}
+    for k in (1, 2):
+        d_t = exact.component(k, pts[:, :k]) - approx.component(k, pts[:, :k])
+        d_dt = exact.diag_deriv(k, pts[:, :k]) - approx.diag_deriv(k, pts[:, :k])
+        expect[k] = (np.max(np.abs(d_t)), np.max(np.abs(d_dt)))
+    solve = ExactTransport._solve
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return solve(self, *args)
+
+    monkeypatch.setattr(ExactTransport, "_solve", counted)
+    for k in (1, 2):
+        assert component_sup_errors(exact, approx, k, pts[:, :k]) == expect[k]
+    assert calls == [1, 2]
 
 
 def test_convergence_study_errors_decrease():

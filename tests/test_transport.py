@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtransport.approx import build_approx_transport
 from krtransport.density import (
     DEFAULT_MARGINAL_ORDER,
     gaussian_posterior,
@@ -14,6 +15,7 @@ from krtransport.density import (
     marginal_hat,
     uniform,
 )
+from krtransport.indexsets import WeightVector
 from krtransport.quadrature import gauss_legendre, integrate, uniform_grid
 from krtransport.transport import (
     ExactTransport,
@@ -42,6 +44,20 @@ def test_invert_monotone_cubic():
 def test_invert_monotone_without_derivative():
     t = invert_monotone(np.tanh, np.tanh(np.array([0.3, -0.7])), lo=-2, hi=2)
     assert np.allclose(t, [0.3, -0.7], atol=1e-10)
+
+
+def test_invert_monotone_linear_solved_at_first_evaluation():
+    # the regula-falsi start of the bracket is the root of a linear F
+    calls = []
+
+    def F(t):
+        calls.append(t)
+        return 2.0 * t + 0.5
+
+    y = np.array([-1.2, 0.0, 0.7, 2.4])
+    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 2.0))
+    assert len(calls) == 3  # F(lo), F(hi) and the start
+    assert np.allclose(F(t), y, rtol=0, atol=1e-12)
 
 
 def test_invert_monotone_bracket_guard():
@@ -159,6 +175,28 @@ def test_pushforward_integrates_to_one():
 def test_dimension_mismatch_guard():
     with pytest.raises(ValueError):
         ExactTransport(reference=uniform(1), target=uniform(2))
+
+
+def _maps_2d():
+    rho, pi = uniform(2), linear_density([0.3, 0.2])
+    exact = ExactTransport(reference=rho, target=pi)
+    approx = build_approx_transport(rho, pi, WeightVector((2.0, 3.0)), 1e-2,
+                                    exact=exact)
+    return {"exact": exact, "approx": approx}
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("method", ["forward", "inverse", "pushforward_density"])
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_wrong_point_width_is_loud(kind, method, width):
+    tmap = _maps_2d()[kind]
+    pts = np.zeros((3, width))
+    match = f"expected points with 2 coordinates, got {width}"
+    with pytest.raises(ValueError, match=match):
+        if method == "pushforward_density":
+            pushforward_density(tmap, uniform(2), pts)
+        else:
+            getattr(tmap, method)(pts)
 
 
 def test_single_point_shapes():
