@@ -42,7 +42,7 @@ from .polybasis import (
     zero_polynomial,
 )
 from .quadrature import TensorGrid, gauss_legendre, tensor_grid
-from .transport import ExactTransport, _check_width, _invert_cdf
+from .transport import ExactTransport, _check_points, _invert_cdf
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
@@ -262,7 +262,7 @@ class ApproxTransport:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        _check_width(pts, self.d)
+        _check_points(pts, self.d)
         y = np.empty_like(pts)
         for k in range(1, pts.shape[1] + 1):
             y[:, k - 1] = self.components[k - 1].eval(pts[:, :k])
@@ -272,7 +272,7 @@ class ApproxTransport:
         y = np.asarray(y, dtype=np.float64)
         single = y.ndim == 1
         pts = y[None, :] if single else y
-        _check_width(pts, self.d)
+        _check_points(pts, self.d)
         x = np.empty_like(pts)
         for k in range(1, pts.shape[1] + 1):
             x[:, k - 1] = self.components[k - 1].invert(x[:, : k - 1], pts[:, k - 1])

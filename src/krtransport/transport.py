@@ -7,11 +7,13 @@ becomes one series per distinct prefix: rows of a batch with bitwise-equal
 x_<k share one Legendre series in t of the marginal hat f_k(prefix, .),
 divided by its own mass A_0, so that the CDF (its exact antiderivative)
 reaches 1 at t = 1 up to rounding. The bracketed bisection-Newton root
-solve works on that series alone and starts each root at the regula-falsi
-point of the bracket [-1, 1], where F(-1) and F(1) are already known for
-the bracket check. The diagonal derivative is the ratio of the two density
-series. The rational components of ``approx`` hand their CDF series to the
-same solver. All point operations are vectorized over batches of points.
+solve works on that series alone, once per distinct x_<=k (rows that share
+it share the root), and starts each root at the regula-falsi point of the
+bracket [-1, 1], where F(-1) and F(1) are already known for the bracket
+check. The diagonal derivative is the ratio of the two density series.
+The rational components of ``approx`` hand their CDF series to the same
+solver. All point operations are vectorized over batches of points; both
+maps reject points outside [-1, 1]^d, NaN included.
 """
 
 from dataclasses import dataclass
@@ -111,11 +113,14 @@ def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
     return invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
 
 
-def _check_width(x: np.ndarray, d: int):
-    """Raise ValueError unless the points x have d coordinates."""
+def _check_points(x: np.ndarray, d: int):
+    """Raise ValueError unless the points x have d coordinates in [-1, 1]."""
     w = x.shape[-1] if x.ndim else 0
     if w != d:
         raise ValueError(f"expected points with {d} coordinates, got {w}")
+    # NaN fails the comparison too
+    if not np.all(np.abs(x) <= 1.0):
+        raise ValueError(f"points must be finite and in [-1, 1]^{d}")
 
 
 def _single_group(m: int):
@@ -218,7 +223,7 @@ class ExactTransport:
 
     def _map(self, src: Density, dst: Density, x):
         x = np.asarray(x, dtype=np.float64)
-        _check_width(x, self.reference.d)
+        _check_points(x, self.reference.d)
         y, _ = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
         return y[0] if x.ndim == 1 else y
 
@@ -228,32 +233,40 @@ class ExactTransport:
         Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k)
         on the series of the dst conditional density. Both series are
         built once per distinct prefix x_[k-1]: rows with equal x_[k-1]
-        have equal y_[k-1], as the map is triangular. Returns y (m, kmax)
-        and d/dx_k y_kmax = f_src;kmax(x) / f_dst;kmax(y), read off the
-        same series; one table at x_k gives both F_src and f_src.
+        have equal y_[k-1], as the map is triangular. The root is solved
+        once per distinct x_[k], on one representative row per group (in
+        the group order, so independent of the row order), and copied to
+        the other rows of its group: the result depends only on the
+        distinct rows of x, not on their order or repetition. Returns
+        y (m, kmax) and d/dx_k y_kmax = f_src;kmax(x) / f_dst;kmax(y), read
+        off the same series; one table at x_k gives both F_src and f_src.
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
-        group, first = _single_group(m)
+        # group ids of rows by x_[k-1] (pre) and by x_[k] (group); sub maps
+        # each x_[k] group to its x_[k-1] group
+        pre, pre_first = _single_group(m)
         for k in range(1, kmax + 1):
-            if k > 1:
-                group, first = _refine_groups(group, x[:, k - 2])
-            xk = x[:, k - 1]
-            A_src = self._density_series(src, k, x[first, : k - 1])
+            group, first = _refine_groups(pre, x[:, k - 1])
+            sub = pre[first]
+            xk = x[first, k - 1]
+            A_src = self._density_series(src, k, x[pre_first, : k - 1])
             table = kernels.legendre_table(xk, A_src.shape[1])
-            u = np.einsum("mn,mn->m", table, legendre_antiderivative(A_src)[group])
-            a_src = np.einsum("mn,mn->m", table[:, :-1], A_src[group])
+            u = np.einsum("mn,mn->m", table, legendre_antiderivative(A_src)[sub])
+            a_src = np.einsum("mn,mn->m", table[:, :-1], A_src[sub])
             del table  # not held through the root solve
-            A = self._density_series(dst, k, y[first, : k - 1])
-            C = legendre_antiderivative(A)[group]
-            A = A[group]
+            A = self._density_series(dst, k, y[pre_first, : k - 1])
+            C = legendre_antiderivative(A)[sub]
+            A = A[sub]
             n = A.shape[1]
             root = _invert_cdf(
                 C, u, lambda L: 0.5 * np.einsum("mn,mn->m", L[:, :n], A))
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
-            y[:, k - 1] = np.where(np.abs(xk) == 1.0, xk, root)
-        return y, a_src / legendre_series(A, y[:, kmax - 1])
+            yk = np.where(np.abs(xk) == 1.0, xk, root)
+            y[:, k - 1] = yk[group]
+            pre, pre_first = group, first
+        return y, (a_src / legendre_series(A, yk))[group]
 
     def component(self, k: int, x):
         """T_k at points x of shape (m, k)."""

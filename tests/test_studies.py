@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from krtransport import studies
 from krtransport.approx import build_approx_transport
-from krtransport.density import linear_density, uniform
+from krtransport.density import conditional, linear_density, uniform
 from krtransport.indexsets import xi_from_anisotropy
 from krtransport.studies import (
     CSV_HEADER,
@@ -148,6 +149,46 @@ def test_truncation_study_small():
     assert records[-1].n_eps > records[0].n_eps
     # distances intentionally absent in the truncation sweep
     assert all(r.distances is None for r in records)
+
+
+def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=512):
+    """The truncation sweep with the cloud drawn and solved again for each
+    epsilon: what truncation_study computes once per study."""
+    c = amplitude * np.arange(1, d_max + 1, dtype=np.float64) ** (-float(s))
+    pi, rho = linear_density(c), uniform(d_max)
+    exact = ExactTransport(reference=rho, target=pi)
+    xi = xi_from_anisotropy(pi.anisotropy, 1.0)
+    records = []
+    for eps in eps_list:
+        approx = build_approx_transport(rho, pi, xi, eps, exact=exact, d=d_max)
+        pts = rng_from_seed(seed).uniform(-1.0, 1.0, size=(n_cloud, d_max))
+        y = exact.forward(pts)
+        agg_t = agg_dt = 0.0
+        for k in range(1, d_max + 1):
+            d_ex = conditional(rho, k, pts[:, :k]) / conditional(pi, k, y[:, :k])
+            agg_t += float(np.max(np.abs(y[:, k - 1] - approx.component(k, pts[:, :k]))))
+            agg_dt += float(np.max(np.abs(d_ex - approx.diag_deriv(k, pts[:, :k]))))
+        records.append(studies._record(eps, approx, agg_t, agg_dt, None, 0.0, None))
+    return records
+
+
+def test_truncation_study_solves_reference_once(monkeypatch):
+    eps_list = [1e-1, 1e-2, 1e-3]
+    expect = records_to_csv(_truncation_records_per_eps(0.3, 2.0, 8, eps_list))
+    forward = ExactTransport.forward
+    calls = []
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return forward(self, x)
+
+    monkeypatch.setattr(ExactTransport, "forward", counted)
+    for n in (1, len(eps_list)):
+        calls.clear()
+        records, _ = truncation_study(0.3, 2.0, 8, eps_list[:n])
+        assert calls == [(512, 8)]
+    # the shared reference leaves every record bitwise unchanged
+    assert records_to_csv(records) == expect
 
 
 def test_posterior_demo_runs_and_matches_mean():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtransport import transport
 from krtransport.approx import build_approx_transport
 from krtransport.density import (
     DEFAULT_MARGINAL_ORDER,
@@ -199,6 +200,32 @@ def test_wrong_point_width_is_loud(kind, method, width):
             getattr(tmap, method)(pts)
 
 
+@pytest.mark.parametrize("value", [1.5, np.nextafter(-1.0, -2.0), np.nan])
+@pytest.mark.parametrize("method", ["forward", "inverse", "pushforward_density"])
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_points_outside_cube_are_loud(kind, method, value):
+    # the series of component 2 would be read at an extrapolated x_1, and a
+    # NaN would run every Newton step before failing
+    tmap = _maps_2d()[kind]
+    pts = np.array([[0.1, -0.2], [value, 0.0]])
+    with pytest.raises(ValueError, match=r"finite and in \[-1, 1\]\^2"):
+        if method == "pushforward_density":
+            pushforward_density(tmap, uniform(2), pts)
+        else:
+            getattr(tmap, method)(pts)
+
+
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_cube_corners_are_accepted(kind):
+    tmap = _maps_2d()[kind]
+    corners = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    # the approximate map pins the endpoints up to rounding, and its
+    # inverse solves them to the root tolerance
+    assert np.max(np.abs(tmap.forward(corners) - corners)) <= 1e-14
+    assert np.max(np.abs(tmap.inverse(corners) - corners)) <= 1e-10
+    assert np.all(pushforward_density(tmap, uniform(2), corners) > 0)
+
+
 def test_single_point_shapes():
     t = ExactTransport(reference=uniform(2), target=linear_density([0.3, 0.2]))
     y = t.forward(np.array([0.1, -0.2]))
@@ -275,6 +302,23 @@ def test_series_built_once_per_distinct_prefix():
     assert counted == [distinct * n]
 
 
+def test_root_solved_once_per_distinct_prefix(monkeypatch):
+    # a 3 x 3 x 11 grid has 3, 9 and 99 distinct x_[k] at k = 1, 2, 3
+    t = ExactTransport(reference=uniform(3), target=linear_density([0.3, 0.2, 0.1]))
+    axes = [np.linspace(-0.9, 0.8, 3)] * 2 + [np.linspace(-0.95, 0.95, 11)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    solve = transport.invert_monotone
+    received = []
+
+    def counted(F, y, **kw):
+        received.append(np.size(y))
+        return solve(F, y, **kw)
+
+    monkeypatch.setattr(transport, "invert_monotone", counted)
+    t.forward(grid)
+    assert received == [3, 9, 99]
+
+
 def _repeated_prefix_points(draw, d):
     # few values per coordinate, so that many rows share a prefix
     pool = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d,
@@ -300,6 +344,28 @@ def _posterior_target_and_points(draw):
     pi = gaussian_posterior([a], [draw(st.floats(-1.0, 1.0))],
                             draw(st.floats(0.5, 1.0)))
     return pi, _repeated_prefix_points(draw, 2)
+
+
+@st.composite
+def _linear_target_rows_and_batch(draw):
+    # the distinct rows of a repeated-prefix batch, and a batch that repeats
+    # and shuffles them
+    pi, x = draw(_linear_target_and_points())
+    rows = np.unique(x, axis=0)
+    extra = draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=12))
+    idx = np.array(draw(st.permutations(list(range(rows.shape[0])) + extra)))
+    return pi, rows, idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear_target_rows_and_batch())
+def test_duplicated_shuffled_rows_are_bitwise_property(target_rows_idx):
+    pi, rows, idx = target_rows_idx
+    t = ExactTransport(reference=uniform(pi.d), target=pi)
+    assert np.array_equal(t.forward(rows[idx]), t.forward(rows)[idx])
+    for k in range(1, pi.d + 1):
+        assert np.array_equal(t.diag_deriv(k, rows[idx, :k]),
+                              t.diag_deriv(k, rows[:, :k])[idx])
 
 
 def _check_endpoints_monotone(t, x):
