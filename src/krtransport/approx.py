@@ -20,7 +20,9 @@ Legendre table per prefix coordinate that H uses.
 Orthonormality gives c_k = 2 sum_n b_n^2, and Tt_k = 2F - 1 with F the CDF
 of the density 2 q^2 / c_k: q^2 has degree 2N, so its values at 2N+1 Gauss
 nodes give the exact Legendre series of F, and the exact transport's
-series solver inverts it.
+series solver inverts it. That solve also returns F' at the root, so the
+inverse map yields the diagonal derivatives Tt_k' = 2F' with no second
+series build, which is all ``pushforward_density`` needs.
 """
 
 import math
@@ -42,7 +44,12 @@ from .polybasis import (
     zero_polynomial,
 )
 from .quadrature import TensorGrid, gauss_legendre, tensor_grid
-from .transport import ExactTransport, _check_points, _invert_cdf
+from .transport import (
+    ExactTransport,
+    _check_points,
+    _component_points,
+    _invert_cdf,
+)
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
@@ -193,19 +200,22 @@ class RationalComponent:
         B = self._t_coeffs(x[:, :-1])
         return 2.0 * legendre_series(B, x[:, -1]) ** 2 / self._c(B)
 
-    def invert(self, prefix, y) -> np.ndarray:
-        """t with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the CDF series."""
+    def invert(self, prefix, y):
+        """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
+        CDF series, and Tt_k' = 2F' = 2 q(t)^2 / c_k from the solve's last
+        slope."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
-            return y.copy()
+            return y.copy(), np.ones(y.shape[0])
         B = self._t_coeffs(prefix)
         c = self._c(B)
         n1 = B.shape[1]
-        return _invert_cdf(
+        t, dF = _invert_cdf(
             self._cdf(B, c), 0.5 * (y + 1.0),
             lambda L: np.einsum("mn,mn->m", L[:, :n1], B) ** 2 / c,
         )
+        return t, 2.0 * dF
 
     def to_json(self) -> dict:
         out = {"k": self.k, "p_coeffs": self.p.to_json()}
@@ -253,9 +263,13 @@ class ApproxTransport:
         )
 
     def component(self, k: int, x) -> np.ndarray:
+        """Tt_k at points x of shape (m, k)."""
+        x = _component_points(k, self.d, x)
         return self.components[k - 1].eval(x)
 
     def diag_deriv(self, k: int, x) -> np.ndarray:
+        """d/dx_k Tt_k at points x of shape (m, k)."""
+        x = _component_points(k, self.d, x)
         return self.components[k - 1].deriv(x)
 
     def forward(self, x):
@@ -271,12 +285,19 @@ class ApproxTransport:
     def inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
         single = y.ndim == 1
-        pts = y[None, :] if single else y
-        _check_points(pts, self.d)
-        x = np.empty_like(pts)
-        for k in range(1, pts.shape[1] + 1):
-            x[:, k - 1] = self.components[k - 1].invert(x[:, : k - 1], pts[:, k - 1])
+        x = self._pullback(y[None, :] if single else y)[0]
         return x[0] if single else x
+
+    def _pullback(self, y):
+        """(x, D): x = Tt^{-1}(y) at points y (m, d), and D (m, d) the
+        diagonal of dTt at x, read off the component inversions."""
+        _check_points(y, self.d)
+        x = np.empty_like(y)
+        D = np.empty_like(y)
+        for k in range(1, y.shape[1] + 1):
+            x[:, k - 1], D[:, k - 1] = self.components[k - 1].invert(
+                x[:, : k - 1], y[:, k - 1])
+        return x, D
 
     def to_json(self) -> dict:
         out = {"components": [c.to_json() for c in self.components]}

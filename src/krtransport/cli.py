@@ -141,6 +141,15 @@ def _read_points(cfg: _Config, d: int) -> np.ndarray:
     return arr
 
 
+def _check_dims(reference: Density, target: Density, tmap=None):
+    """ConfigError unless reference, target and the map share one dimension."""
+    dims = {"reference": reference.d, "target": target.d}
+    if tmap is not None:
+        dims["map"] = tmap.d
+    if len(set(dims.values())) > 1:
+        raise ConfigError(f"dimensions differ: {dims}")
+
+
 def _read_map(path) -> ApproxTransport:
     """The serialized map at path; a missing or malformed file is a config error."""
     try:
@@ -169,6 +178,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
     target = _density(cfg.take("target"), "target")
     mode = cfg.take("mode", "exact")
     inverse = bool(cfg.take("inverse", False))
+    _check_dims(reference, target)
     pts = _read_points(cfg, reference.d)
     if mode == "exact":
         tmap = ExactTransport(reference=reference, target=target)
@@ -176,6 +186,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
         map_file = cfg.take("map_file", None)
         if map_file is not None:
             tmap = _read_map(map_file)
+            _check_dims(reference, target, tmap)
         else:
             xi = _weights(cfg.take("xi", {}), target)
             eps = cfg.take_as("epsilon", float)
@@ -198,6 +209,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
 def _cmd_approx_build(cfg: _Config, out_dir: Path, seed):
     reference = _density(cfg.take("reference"), "reference")
     target = _density(cfg.take("target"), "target")
+    _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
     eps = cfg.take_as("epsilon", float)
     cfg.finish()
@@ -214,6 +226,7 @@ def _cmd_distance(cfg: _Config, out_dir: Path, seed):
         reference = _density(cfg.take("reference"), "reference")
         target = _density(cfg.take("target"), "target")
         tmap = _read_map(map_file)
+        _check_dims(reference, target, tmap)
         d = target.d
         grid = uniform_grid(grid_order or _distance_grid_order(d), d)
         report = pushforward_distance(tmap, reference, target, grid)
@@ -237,6 +250,7 @@ def _cmd_sample(cfg: _Config, out_dir: Path, seed):
         reference = uniform(target.d)
     else:
         reference = _density(ref_spec, "reference")
+    _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
     eps = cfg.take_as("epsilon", float)
     n = cfg.take_as("n_samples", int, 1000)
@@ -258,6 +272,7 @@ def _cmd_sample(cfg: _Config, out_dir: Path, seed):
 def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
     reference = _density(cfg.take("reference"), "reference")
     target = _density(cfg.take("target"), "target")
+    _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
     eps_list = cfg.take_as("epsilon_list", _floats)
     cfg_seed = cfg.take_as("seed", int, 0)

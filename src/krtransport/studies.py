@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import ApproxTransport, build_approx_transport, projection_grid
-from .density import Density, conditional, gaussian_posterior, linear_density, uniform
+from .density import Density, gaussian_posterior, linear_density, uniform
 from .indexsets import WeightVector, enumerate_lambda, xi_from_anisotropy
 from .metrics import DistanceReport, pushforward_distance
 from .quadrature import integrate, uniform_grid
@@ -125,8 +125,8 @@ def component_sup_errors(exact: ExactTransport, approx: ApproxTransport,
                          k: int, pts: np.ndarray):
     """(sup |T_k - Tt_k|, sup |dT_k - dTt_k|) over the sample points."""
     # one solve gives T_k and its diagonal derivative
-    y, d_ex = exact._solve(exact.reference, exact.target, pts, k)
-    t_ex = y[:, k - 1]
+    y, D = exact._solve(exact.reference, exact.target, pts, k)
+    t_ex, d_ex = y[:, k - 1], D[:, k - 1]
     t_ap = approx.component(k, pts)
     d_ap = approx.diag_deriv(k, pts)
     return (
@@ -220,8 +220,8 @@ def truncation_study(
     aggregate sums over k <= d_max of sampled sup norms on one seeded
     cloud of n_cloud points; the fit is algebraic (log error vs log N).
     The exact reference, T and its diagonal derivatives on the cloud, is
-    solved once per study, before the epsilon loop, so wall_ms (the time
-    of one epsilon) does not include it.
+    one solve per study, before the epsilon loop, so wall_ms (the time of
+    one epsilon) does not include it.
     """
     c = amplitude * np.arange(1, d_max + 1, dtype=np.float64) ** (-float(s))
     pi = linear_density(c)
@@ -229,10 +229,7 @@ def truncation_study(
     exact = ExactTransport(reference=rho, target=pi)
     xi = xi_from_anisotropy(pi.anisotropy, alpha)
     pts = rng_from_seed(seed).uniform(-1.0, 1.0, size=(n_cloud, d_max))
-    y_exact = exact.forward(pts)
-    # diagonal derivatives from the forward image
-    d_exact = [conditional(rho, k, pts[:, :k]) / conditional(pi, k, y_exact[:, :k])
-               for k in range(1, d_max + 1)]
+    y_exact, d_exact = exact._solve(rho, pi, pts, d_max)
     records = []
     for eps in eps_list:
         t0 = clock() if clock else 0.0
@@ -243,7 +240,7 @@ def truncation_study(
             t_ap = approx.component(k, xk)
             d_ap = approx.diag_deriv(k, xk)
             agg_t += float(np.max(np.abs(y_exact[:, k - 1] - t_ap)))
-            agg_dt += float(np.max(np.abs(d_exact[k - 1] - d_ap)))
+            agg_dt += float(np.max(np.abs(d_exact[:, k - 1] - d_ap)))
         records.append(_record(eps, approx, agg_t, agg_dt, None, t0, clock))
     fit = fit_rate([r.n_eps for r in records],
                    [r.sup_err_T for r in records], "algebraic")

@@ -10,10 +10,13 @@ reaches 1 at t = 1 up to rounding. The bracketed bisection-Newton root
 solve works on that series alone, once per distinct x_<=k (rows that share
 it share the root), and starts each root at the regula-falsi point of the
 bracket [-1, 1], where F(-1) and F(1) are already known for the bracket
-check. The diagonal derivative is the ratio of the two density series.
-The rational components of ``approx`` hand their CDF series to the same
-solver. All point operations are vectorized over batches of points; both
-maps reject points outside [-1, 1]^d, NaN included.
+check. Every solve also returns the whole diagonal of its Jacobian, the
+ratio of the two density series at each k, so one inverse solve gives
+both the preimage and the determinant ``pushforward_density`` needs. The
+rational components of ``approx`` hand their CDF series to the same
+solver, which returns the root and the CDF slope there. All point
+operations are vectorized over batches of points; both maps reject points
+outside [-1, 1]^d, NaN included, and component indices outside 1..d.
 """
 
 from dataclasses import dataclass
@@ -87,15 +90,17 @@ def _inside(t, a, b):
     return np.where(bad, 0.5 * (a + b), t)
 
 
-def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
-    """t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF series in row i of C.
+def _invert_cdf(C: np.ndarray, u, slope):
+    """(t, F'(t)): t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF in row i of C.
 
     C (m, n): Legendre coefficients of CDFs with F(-1) = 0 and F(1) = 1 up
     to rounding; u is clipped into [0, 1]. slope(table) returns F' from the
     (m, n) Legendre table at t. Each Newton step builds one table and reads
     F and F' off it; only F' at the latest t is kept, so no table outlives
     its step (holding it until the F' call raised the peak RSS of the d = 32
-    truncation study from 82 to 97 MB in a single-threaded run).
+    truncation study from 82 to 97 MB in a single-threaded run). The solve
+    returns after an F evaluation at its root, so the F' returned is the one
+    held from there, at no further evaluation.
     """
     n = C.shape[1]
     held = [None, None]  # the latest t and F' there
@@ -110,7 +115,8 @@ def _invert_cdf(C: np.ndarray, u, slope) -> np.ndarray:
             F(t)
         return held[1]
 
-    return invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
+    t = invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
+    return t, held[1]
 
 
 def _check_points(x: np.ndarray, d: int):
@@ -121,6 +127,15 @@ def _check_points(x: np.ndarray, d: int):
     # NaN fails the comparison too
     if not np.all(np.abs(x) <= 1.0):
         raise ValueError(f"points must be finite and in [-1, 1]^{d}")
+
+
+def _component_points(k: int, d: int, x) -> np.ndarray:
+    """x as (m, k) float64; ValueError unless 1 <= k <= d and x is in [-1, 1]^k."""
+    if not 1 <= k <= d:
+        raise ValueError(f"component index {k} outside 1..{d}")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    _check_points(x, k)
+    return x
 
 
 def _single_group(m: int):
@@ -238,11 +253,15 @@ class ExactTransport:
         the group order, so independent of the row order), and copied to
         the other rows of its group: the result depends only on the
         distinct rows of x, not on their order or repetition. Returns
-        y (m, kmax) and d/dx_k y_kmax = f_src;kmax(x) / f_dst;kmax(y), read
-        off the same series; one table at x_k gives both F_src and f_src.
+        y (m, kmax) and the diagonal of the Jacobian D (m, kmax), with
+        D[:, k-1] = d/dx_k y_k = f_src;k(x) / f_dst;k(y) read off the same
+        series; one table at x_k gives both F_src and f_src. This is the
+        only place the exact diagonal derivatives are computed. D is the
+        transpose of a (kmax, m) array, so that each column is contiguous.
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
+        D = np.empty((kmax, m))
         # group ids of rows by x_[k-1] (pre) and by x_[k] (group); sub maps
         # each x_[k] group to its x_[k-1] group
         pre, pre_first = _single_group(m)
@@ -254,23 +273,24 @@ class ExactTransport:
             table = kernels.legendre_table(xk, A_src.shape[1])
             u = np.einsum("mn,mn->m", table, legendre_antiderivative(A_src)[sub])
             a_src = np.einsum("mn,mn->m", table[:, :-1], A_src[sub])
-            del table  # not held through the root solve
+            del table, A_src  # not held through the root solve
             A = self._density_series(dst, k, y[pre_first, : k - 1])
             C = legendre_antiderivative(A)[sub]
             A = A[sub]
             n = A.shape[1]
-            root = _invert_cdf(
+            root, _ = _invert_cdf(
                 C, u, lambda L: 0.5 * np.einsum("mn,mn->m", L[:, :n], A))
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
             yk = np.where(np.abs(xk) == 1.0, xk, root)
             y[:, k - 1] = yk[group]
+            D[k - 1] = (a_src / legendre_series(A, yk))[group]
             pre, pre_first = group, first
-        return y, (a_src / legendre_series(A, yk))[group]
+        return y, D.T
 
     def component(self, k: int, x):
         """T_k at points x of shape (m, k)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _component_points(k, self.reference.d, x)
         return self._solve(self.reference, self.target, x, k)[0][:, k - 1]
 
     def diag_deriv(self, k: int, x):
@@ -278,8 +298,15 @@ class ExactTransport:
 
         Both conditional densities are the series the solve builds.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._solve(self.reference, self.target, x, k)[1]
+        x = _component_points(k, self.reference.d, x)
+        return self._solve(self.reference, self.target, x, k)[1][:, k - 1]
+
+    def _pullback(self, y):
+        """(x, D): x = S(y) at points y (m, d), and D (m, d) the diagonal of
+        dT at x, from one inverse solve: d/dx_k T_k(x) = 1 / d/dy_k S_k(y)."""
+        _check_points(y, self.reference.d)
+        x, D = self._solve(self.target, self.reference, y, y.shape[1])
+        return x, 1.0 / D
 
 
 _DERIV_FLOOR = 1e-14
@@ -288,16 +315,18 @@ _DERIV_FLOOR = 1e-14
 def pushforward_density(tmap, rho: Density, y):
     """Density of T_sharp(rho) at y: f_rho(T^{-1}(y)) / det dT(T^{-1}(y)).
 
-    tmap is any triangular map exposing inverse/diag_deriv (exact or
-    approximate).
+    tmap is any triangular map (exact or approximate) exposing _pullback,
+    which returns x = T^{-1}(y) and the diagonal of dT at x from one
+    inverse solve; rho must have the map's dimension.
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x = tmap.inverse(y)
-    x = np.atleast_2d(x)
+    x, D = tmap._pullback(y)
+    if rho.d != x.shape[1]:
+        raise ValueError(
+            f"density has dimension {rho.d}, the map {x.shape[1]}")
+    if np.any(D <= _DERIV_FLOOR):
+        raise ValueError("diagonal derivative underflow in pushforward")
     det = np.ones(y.shape[0])
-    for k in range(1, y.shape[1] + 1):
-        dk = np.asarray(tmap.diag_deriv(k, x[:, :k]), dtype=np.float64)
-        if np.any(dk <= _DERIV_FLOOR):
-            raise ValueError("diagonal derivative underflow in pushforward")
-        det *= dk
+    for k in range(x.shape[1]):
+        det *= D[:, k]
     return rho.evaluate(x) / det

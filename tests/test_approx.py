@@ -94,8 +94,11 @@ def test_component_invert():
     comp = RationalComponent(k=1, p=p)
     x = np.linspace(-0.95, 0.95, 11).reshape(-1, 1)
     y = comp.eval(x)
-    back = comp.invert(np.zeros((11, 0)), y)
+    back, dback = comp.invert(np.zeros((11, 0)), y)
     assert np.allclose(back, x[:, 0], atol=1e-10)
+    # the derivative comes from the solve's last slope, at the root itself
+    expect = comp.deriv(back[:, None])
+    assert np.max(np.abs(dback - expect) / expect) <= 1e-14
 
 
 _COEFF = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e3, 1e3))
@@ -132,8 +135,10 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     assert abs(comp.eval(x)[0] - expect) <= 1e-12
     # the solve stops at |Tt(t) - y| <= 1e-12, i.e. |t - x_k| <~ 1e-12 / Tt'
     assume(comp.deriv(x)[0] >= 0.02)
-    back = comp.invert(prefix, comp.eval(x))
+    back, dback = comp.invert(prefix, comp.eval(x))
     assert abs(back[0] - xk) <= 1e-10
+    expect = comp.deriv(np.concatenate([prefix, back[:, None]], axis=1))[0]
+    assert abs(dback[0] - expect) <= 1e-14 * expect
 
 
 def _t_coeffs_term_by_term(p, prefix):
@@ -179,16 +184,22 @@ def test_t_coeffs_matches_term_by_term(comp_prefix):
     assert np.max(np.abs(got - expect)) <= 1e-13 * scale
 
 
-def test_inverse_solve_count_on_2d_map(monkeypatch):
-    # the benchmark's 2d map: a regula-falsi start plus Newton takes about
-    # 6 F evaluations per root here, the two bracket ends included
-    # (a midpoint start takes 9.4)
+def _map_eval_2d():
+    """The benchmark's 2d map, N_eps = 104."""
     from krtransport.indexsets import xi_from_anisotropy
 
     pi = linear_density([0.3, 0.2])
     tmap = build_approx_transport(uniform(2), pi,
                                   xi_from_anisotropy(pi.anisotropy, 0.5), 1e-6)
     assert tmap.n_eps == 104
+    return tmap
+
+
+def test_inverse_solve_count_on_2d_map(monkeypatch):
+    # the benchmark's 2d map: a regula-falsi start plus Newton takes about
+    # 6 F evaluations per root here, the two bracket ends included
+    # (a midpoint start takes 9.4)
+    tmap = _map_eval_2d()
     solve = transport.invert_monotone
     counts = {"F": 0, "roots": 0}
 
@@ -206,6 +217,28 @@ def test_inverse_solve_count_on_2d_map(monkeypatch):
     assert counts["roots"] == 200
     assert counts["F"] / counts["roots"] <= 6.5
     assert np.allclose(tmap.forward(x), y, atol=1e-10)
+
+
+def test_density_batch_builds_each_series_once(monkeypatch):
+    # the inverse solve hands back the diagonal derivatives, so a density
+    # batch builds B once per component instead of again in diag_deriv
+    tmap = _map_eval_2d()
+    rho = uniform(2)
+    y = _rng(13).uniform(-1.0, 1.0, size=(100, 2))
+    x = tmap.inverse(y)
+    expect = rho.evaluate(x) / (tmap.components[0].deriv(x[:, :1])
+                                * tmap.components[1].deriv(x))
+    t_coeffs = RationalComponent._t_coeffs
+    calls = []
+
+    def counted(self, prefix):
+        calls.append(self.k)
+        return t_coeffs(self, prefix)
+
+    monkeypatch.setattr(RationalComponent, "_t_coeffs", counted)
+    got = transport.pushforward_density(tmap, rho, y)
+    assert calls == [1, 2]
+    assert np.array_equal(got, expect)
 
 
 def test_sqrt_shift_target_identity_is_zero():

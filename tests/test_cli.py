@@ -246,6 +246,40 @@ def test_bad_map_file_is_config_error(tmp_path, capsys, command, content):
     assert err["kind"] == "config" and "map" in err["error"]
 
 
+UNIFORM3 = {"family": "uniform", "d": 3}
+LINEAR3 = {"family": "linear", "c": [0.3, 0.2, 0.1]}
+
+
+@pytest.mark.parametrize("command, spec", [
+    (["distance"], {"reference": UNIFORM3, "target": LINEAR2}),
+    (["distance"], {"reference": UNIFORM2, "target": LINEAR3}),
+    (["transport", "eval"], {"reference": UNIFORM3, "target": LINEAR3,
+                             "mode": "approx", "points": [[0.1, 0.2, 0.3]]}),
+    (["transport", "eval"], {"reference": UNIFORM3, "target": LINEAR2,
+                             "mode": "exact", "points": [[0.1, 0.2, 0.3]]}),
+    (["approx", "build"], {"reference": UNIFORM3, "target": LINEAR2,
+                           "epsilon": 1e-2}),
+    (["sample"], {"reference": UNIFORM3, "target": LINEAR2, "epsilon": 1e-2}),
+    (["study", "convergence"], {"reference": UNIFORM3, "target": LINEAR2,
+                                "epsilon_list": [1e-1]}),
+], ids=["distance_reference", "distance_target", "eval_approx_map",
+        "eval_exact_target", "approx_build", "sample", "study_convergence"])
+def test_dimension_mismatch_is_config_error(tmp_path, capsys, command, spec):
+    # distance and the approximate transport eval read a d = 2 map
+    if command == ["distance"] or spec.get("mode") == "approx":
+        build = _write(tmp_path, "b.json", {
+            "reference": UNIFORM2, "target": LINEAR2, "xi": {"alpha": 0.5},
+            "epsilon": 1e-2,
+        })
+        assert _run(["--config", build, "--out", tmp_path, "approx", "build"]) == 0
+        capsys.readouterr()
+        spec = {**spec, "map_file": str(tmp_path / "approx_transport.json")}
+    cfg = _write(tmp_path, "m.json", spec)
+    assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "dimensions differ" in err["error"]
+
+
 def test_peaked_posterior_names_component(tmp_path, capsys):
     # the conditional density of component 1 needs more than the largest
     # Legendre series allowed: a numerical error naming the component

@@ -162,10 +162,10 @@ def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=5
     for eps in eps_list:
         approx = build_approx_transport(rho, pi, xi, eps, exact=exact, d=d_max)
         pts = rng_from_seed(seed).uniform(-1.0, 1.0, size=(n_cloud, d_max))
-        y = exact.forward(pts)
+        y, D = exact._solve(rho, pi, pts, d_max)
         agg_t = agg_dt = 0.0
         for k in range(1, d_max + 1):
-            d_ex = conditional(rho, k, pts[:, :k]) / conditional(pi, k, y[:, :k])
+            d_ex = D[:, k - 1]
             agg_t += float(np.max(np.abs(y[:, k - 1] - approx.component(k, pts[:, :k]))))
             agg_dt += float(np.max(np.abs(d_ex - approx.diag_deriv(k, pts[:, :k]))))
         records.append(studies._record(eps, approx, agg_t, agg_dt, None, 0.0, None))
@@ -175,20 +175,46 @@ def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=5
 def test_truncation_study_solves_reference_once(monkeypatch):
     eps_list = [1e-1, 1e-2, 1e-3]
     expect = records_to_csv(_truncation_records_per_eps(0.3, 2.0, 8, eps_list))
-    forward = ExactTransport.forward
+    solve, build = ExactTransport._solve, studies.build_approx_transport
     calls = []
+    fitting = [False]
 
-    def counted(self, x):
-        calls.append(np.shape(x))
-        return forward(self, x)
+    def counted(self, src, dst, x, kmax):
+        if not fitting[0]:
+            calls.append((x.shape, kmax))
+        return solve(self, src, dst, x, kmax)
 
-    monkeypatch.setattr(ExactTransport, "forward", counted)
+    def uncounted_build(*args, **kwargs):
+        # the fit solves on its projection grids; only the study's own
+        # reference solves are counted
+        fitting[0] = True
+        try:
+            return build(*args, **kwargs)
+        finally:
+            fitting[0] = False
+
+    monkeypatch.setattr(ExactTransport, "_solve", counted)
+    monkeypatch.setattr(studies, "build_approx_transport", uncounted_build)
     for n in (1, len(eps_list)):
         calls.clear()
         records, _ = truncation_study(0.3, 2.0, 8, eps_list[:n])
-        assert calls == [(512, 8)]
+        assert calls == [((512, 8), 8)]
     # the shared reference leaves every record bitwise unchanged
     assert records_to_csv(records) == expect
+
+
+def test_one_solve_gives_every_diagonal_derivative():
+    # the studies read the exact derivatives off one solve; the closed form
+    # f_ref;k / f_tar;k of density.conditional stays an independent check
+    c = 0.3 * np.arange(1, 9, dtype=np.float64) ** -2.0
+    pi, rho = linear_density(c), uniform(8)
+    exact = ExactTransport(reference=rho, target=pi)
+    pts = rng_from_seed(4).uniform(-1.0, 1.0, size=(64, 8))
+    y, D = exact._solve(rho, pi, pts, 8)
+    for k in range(1, 9):
+        assert np.array_equal(D[:, k - 1], exact.diag_deriv(k, pts[:, :k]))
+        closed = conditional(rho, k, pts[:, :k]) / conditional(pi, k, y[:, :k])
+        assert np.max(np.abs(D[:, k - 1] - closed) / closed) <= 1e-13
 
 
 def test_posterior_demo_runs_and_matches_mean():

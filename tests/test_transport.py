@@ -165,6 +165,26 @@ def test_pushforward_density_matches_target():
     assert np.allclose(pushforward_density(t, rho, y), pi.evaluate(y), atol=1e-9)
 
 
+def test_exact_pushforward_density_is_one_solve(monkeypatch):
+    # the inverse solve returns the whole diagonal of the Jacobian; a forward
+    # re-solve per component would make d + 1 solves
+    rho = uniform(4)
+    pi = linear_density([0.3, -0.2, 0.15, 0.1])
+    t = ExactTransport(reference=rho, target=pi)
+    solve = ExactTransport._solve
+    calls = []
+
+    def counted(self, src, dst, x, kmax):
+        calls.append((x.shape, kmax))
+        return solve(self, src, dst, x, kmax)
+
+    monkeypatch.setattr(ExactTransport, "_solve", counted)
+    y = _rng(6).uniform(-1.0, 1.0, size=(10, 4))
+    q = pushforward_density(t, rho, y)
+    assert calls == [((10, 4), 4)]
+    assert np.max(np.abs(q - pi.evaluate(y))) <= 1e-9
+
+
 def test_pushforward_integrates_to_one():
     rho = uniform(1)
     pi = linear_density([0.5])
@@ -213,6 +233,30 @@ def test_points_outside_cube_are_loud(kind, method, value):
             pushforward_density(tmap, uniform(2), pts)
         else:
             getattr(tmap, method)(pts)
+
+
+@pytest.mark.parametrize("k, x", [
+    (0, [[0.5]]),
+    (3, [[0.5, -0.3, 0.1]]),
+    (1, [[0.5, -0.3]]),
+    (2, [[0.5, 1.5]]),
+    (2, [[0.5, np.nan]]),
+], ids=["k_zero", "k_above_d", "k_plus_one_columns", "outside_cube", "nan"])
+@pytest.mark.parametrize("method", ["component", "diag_deriv"])
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_component_arguments_are_checked(kind, method, k, x):
+    # unchecked, a wrong k or an extra column is misread (x_2 taken as t,
+    # k = 0 as component d) and a point outside the cube is clipped to 1
+    tmap = _maps_2d()[kind]
+    with pytest.raises(ValueError):
+        getattr(tmap, method)(k, np.array(x))
+
+
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_pushforward_reference_dimension_is_checked(kind):
+    tmap = _maps_2d()[kind]
+    with pytest.raises(ValueError, match="dimension 3"):
+        pushforward_density(tmap, uniform(3), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("kind", ["exact", "approx"])
