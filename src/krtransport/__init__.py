@@ -29,11 +29,7 @@ from .metrics import (
     DistanceReport,
     det_product_bound,
     distance_report,
-    hellinger,
-    kl_divergence,
     pushforward_distance,
-    total_variation,
-    wasserstein1,
 )
 from .polybasis import SparsePolynomial, project, sup_norm_bound
 from .quadrature import TensorGrid, gauss_legendre, integrate, tensor_grid, uniform_grid
@@ -80,10 +76,8 @@ __all__ = [
     "gamma",
     "gauss_legendre",
     "gaussian_posterior",
-    "hellinger",
     "integrate",
     "invert_monotone",
-    "kl_divergence",
     "linear_density",
     "marginal_hat",
     "posterior_demo",
@@ -93,10 +87,8 @@ __all__ = [
     "rng_from_seed",
     "sup_norm_bound",
     "tensor_grid",
-    "total_variation",
     "truncation_study",
     "uniform",
     "uniform_grid",
-    "wasserstein1",
     "xi_from_anisotropy",
 ]

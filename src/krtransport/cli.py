@@ -69,22 +69,57 @@ class _Config:
         return default
 
     def take_as(self, key, kind, default=_MISSING):
-        """take(key) converted by kind; a value kind rejects is a config error."""
+        """take(key) converted and range-checked by kind; a value kind
+        rejects is a config error."""
         value = self.take(key, default)
         if value is None and default is None:
             return None
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"bad value for config key {key!r}: {value!r}") from e
+            raise ConfigError(
+                f"bad value for config key {key!r}: {value!r} ({e})") from e
 
     def finish(self):
         if self.raw:
             raise ConfigError(f"unknown config keys: {sorted(self.raw)}")
 
 
-def _floats(values) -> list:
-    return [float(v) for v in values]
+# Value kinds for _Config.take_as: each converts one config value and
+# raises ValueError when it is out of range.
+def _epsilon(value) -> float:
+    eps = float(value)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    return eps
+
+
+def _epsilons(values) -> list:
+    return [_epsilon(v) for v in values]
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not x > 0.0:
+        raise ValueError("must be positive")
+    return x
+
+
+def _count(value, low: int = 1) -> int:
+    n = int(value)
+    if n < low or n != float(value) or isinstance(value, bool):
+        raise ValueError(f"must be an integer >= {low}")
+    return n
+
+
+def _seed(value) -> int:
+    return _count(value, 0)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
 
 
 def _density(spec, what: str) -> Density:
@@ -177,7 +212,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
     reference = _density(cfg.take("reference"), "reference")
     target = _density(cfg.take("target"), "target")
     mode = cfg.take("mode", "exact")
-    inverse = bool(cfg.take("inverse", False))
+    inverse = cfg.take_as("inverse", _flag, False)
     _check_dims(reference, target)
     pts = _read_points(cfg, reference.d)
     if mode == "exact":
@@ -189,7 +224,7 @@ def _cmd_transport_eval(cfg: _Config, out_dir: Path, seed):
             _check_dims(reference, target, tmap)
         else:
             xi = _weights(cfg.take("xi", {}), target)
-            eps = cfg.take_as("epsilon", float)
+            eps = cfg.take_as("epsilon", _epsilon)
             tmap = build_approx_transport(reference, target, xi, eps)
     else:
         raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
@@ -211,7 +246,7 @@ def _cmd_approx_build(cfg: _Config, out_dir: Path, seed):
     target = _density(cfg.take("target"), "target")
     _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
-    eps = cfg.take_as("epsilon", float)
+    eps = cfg.take_as("epsilon", _epsilon)
     cfg.finish()
     tmap = build_approx_transport(reference, target, xi, eps)
     path = _write_json(out_dir, "approx_transport.json", tmap.to_json())
@@ -220,7 +255,7 @@ def _cmd_approx_build(cfg: _Config, out_dir: Path, seed):
 
 
 def _cmd_distance(cfg: _Config, out_dir: Path, seed):
-    grid_order = cfg.take_as("grid_order", int, None)
+    grid_order = cfg.take_as("grid_order", _count, None)
     map_file = cfg.take("map_file", None)
     if map_file is not None:
         reference = _density(cfg.take("reference"), "reference")
@@ -252,9 +287,9 @@ def _cmd_sample(cfg: _Config, out_dir: Path, seed):
         reference = _density(ref_spec, "reference")
     _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
-    eps = cfg.take_as("epsilon", float)
-    n = cfg.take_as("n_samples", int, 1000)
-    cfg_seed = cfg.take_as("seed", int, 0)
+    eps = cfg.take_as("epsilon", _epsilon)
+    n = cfg.take_as("n_samples", _count, 1000)
+    cfg_seed = cfg.take_as("seed", _seed, 0)
     seed = cfg_seed if seed is None else seed
     cfg.finish()
     tmap = build_approx_transport(reference, target, xi, eps)
@@ -274,12 +309,12 @@ def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
     target = _density(cfg.take("target"), "target")
     _check_dims(reference, target)
     xi = _weights(cfg.take("xi", {}), target)
-    eps_list = cfg.take_as("epsilon_list", _floats)
-    cfg_seed = cfg.take_as("seed", int, 0)
+    eps_list = cfg.take_as("epsilon_list", _epsilons)
+    cfg_seed = cfg.take_as("seed", _seed, 0)
     seed = cfg_seed if seed is None else seed
-    n_cloud = cfg.take_as("n_cloud", int, 2048)
-    grid_order = cfg.take_as("distance_grid_order", int, None)
-    timing = bool(cfg.take("timing", False))
+    n_cloud = cfg.take_as("n_cloud", _count, 2048)
+    grid_order = cfg.take_as("distance_grid_order", _count, None)
+    timing = cfg.take_as("timing", _flag, False)
     cfg.finish()
     records, fit = convergence_study(
         reference, target, xi, eps_list, seed=seed, n_cloud=n_cloud,
@@ -297,13 +332,13 @@ def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
 def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
     amplitude = cfg.take_as("amplitude", float)
     s = cfg.take_as("s", float)
-    d_max = cfg.take_as("d_max", int)
-    eps_list = cfg.take_as("epsilon_list", _floats)
-    alpha = cfg.take_as("alpha", float, 1.0)
-    cfg_seed = cfg.take_as("seed", int, 0)
+    d_max = cfg.take_as("d_max", _count)
+    eps_list = cfg.take_as("epsilon_list", _epsilons)
+    alpha = cfg.take_as("alpha", _positive, 1.0)
+    cfg_seed = cfg.take_as("seed", _seed, 0)
     seed = cfg_seed if seed is None else seed
-    n_cloud = cfg.take_as("n_cloud", int, 512)
-    timing = bool(cfg.take("timing", False))
+    n_cloud = cfg.take_as("n_cloud", _count, 512)
+    timing = cfg.take_as("timing", _flag, False)
     cfg.finish()
     records, fit = truncation_study(
         amplitude, s, d_max, eps_list, alpha=alpha, seed=seed,
@@ -318,18 +353,25 @@ def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
 
 
 def _cmd_study_posterior(cfg: _Config, out_dir: Path, seed):
-    A = cfg.take("A")
-    varsigma = cfg.take("varsigma")
-    sigma = cfg.take_as("sigma", float)
-    eps = cfg.take_as("epsilon", float)
-    n_samples = cfg.take_as("n_samples", int, 2000)
-    cfg_seed = cfg.take_as("seed", int, 0)
+    pi = _density({"family": "gaussian_posterior", "A": cfg.take("A"),
+                   "varsigma": cfg.take("varsigma"), "sigma": cfg.take("sigma")},
+                  "posterior")
+    if pi.d > 4:
+        raise ConfigError(f"study posterior needs d <= 4, got {pi.d}")
+    if pi.anisotropy is None:
+        raise ConfigError("A has a zero column, so xi is undefined")
+    eps = cfg.take_as("epsilon", _epsilon)
+    n_samples = cfg.take_as("n_samples", _count, 2000)
+    if n_samples < 2:
+        raise ConfigError("n_samples must be >= 2 for a sample std")
+    cfg_seed = cfg.take_as("seed", _seed, 0)
     seed = cfg_seed if seed is None else seed
-    alpha = cfg.take_as("alpha", float, 1.0)
-    grid_order = cfg.take_as("distance_grid_order", int, None)
+    alpha = cfg.take_as("alpha", _positive, 1.0)
+    grid_order = cfg.take_as("distance_grid_order", _count, None)
     cfg.finish()
     report = posterior_demo(
-        A, varsigma, sigma, eps, n_samples=n_samples, seed=seed, alpha=alpha,
+        pi.params["A"], pi.params["varsigma"], pi.params["sigma"], eps,
+        n_samples=n_samples, seed=seed, alpha=alpha,
         distance_grid_order=grid_order,
     )
     _write_json(out_dir, "posterior.json", report.to_json())
@@ -345,15 +387,26 @@ _STUDIES = {
 }
 
 
+def _error_json(kind: str, message: str) -> str:
+    return json.dumps({"kind": kind, "error": message}) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad flags are config errors: JSON on stderr and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, _error_json("config", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krtransport",
         description="Triangular transport maps with sparse rational approximation",
     )
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+    parser.add_argument("--seed", type=_seed, default=None,
+                        help="override the config seed (an integer >= 0)")
     sub = parser.add_subparsers(dest="command", required=True)
     t = sub.add_parser("transport")
     t.add_argument("action", choices=["eval"])
@@ -367,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # parse_args exits with code 2 on bad flags, matching the config exit code
     args = build_parser().parse_args(argv)
     try:
         cfg = _Config(_load_config(args.config))
@@ -385,12 +437,10 @@ def main(argv=None) -> int:
             return _STUDIES[args.action](cfg, out_dir, args.seed)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as e:
-        json.dump({"kind": "config", "error": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
+        sys.stderr.write(_error_json("config", str(e)))
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
-        json.dump({"kind": "numerical", "error": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
+        sys.stderr.write(_error_json("numerical", str(e)))
         return 3
 
 

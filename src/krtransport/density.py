@@ -28,12 +28,6 @@ class Density:
     marginal_oracle: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     anisotropy: Optional[tuple] = None
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(self.evaluate(x[None, :])[0])
-        return self.evaluate(x)
-
 
 def uniform(d: int) -> Density:
     if d < 1:

@@ -65,9 +65,6 @@ class IndexSet:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, nu):
-        return canon(nu) in set(self.members)
-
     def max_degree_per_dim(self) -> list[int]:
         return max_degree_per_dim(self.members, self.k)
 

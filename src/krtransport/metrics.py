@@ -66,32 +66,6 @@ def _kl_divergence(fv, gv, w) -> float:
     return float(out @ w)
 
 
-def hellinger(f, g, grid: TensorGrid) -> float:
-    """((1/2) int (sqrt f - sqrt g)^2 dmu)^(1/2)."""
-    return _hellinger(*_grid_values(f, g, grid))
-
-
-def total_variation(f, g, grid: TensorGrid) -> float:
-    """(1/2) int |f - g| dmu."""
-    return _total_variation(*_grid_values(f, g, grid))
-
-
-def total_variation_oversampled(f, g, grid: TensorGrid) -> float:
-    """Same as total_variation on a grid with 4x nodes per dimension."""
-    fine = tensor_grid([4 * r.n for r in grid.rules])
-    return total_variation(f, g, fine)
-
-
-def kl_divergence(f, g, grid: TensorGrid) -> float:
-    """int f log(f/g) dmu; +inf when g vanishes on the support of f."""
-    return _kl_divergence(*_grid_values(f, g, grid))
-
-
-def wasserstein1_bound(f, g, d: int, grid: TensorGrid) -> float:
-    """diam * TV upper bound: diam([-1,1]^d) = 2 sqrt(d) in Euclidean metric."""
-    return 2.0 * math.sqrt(d) * total_variation(f, g, grid)
-
-
 def _wasserstein1_1d(f, g) -> float:
     """int_{-1}^{1} |F - G| dt, F and G the CDFs of f and g.
 
@@ -106,22 +80,23 @@ def _wasserstein1_1d(f, g) -> float:
     return float(2.0 * (np.abs(table @ C[0]) @ w))
 
 
-def wasserstein1(f, g, d: int, grid: TensorGrid):
-    """(value, is_exact). Exact CDF formula for d = 1; diam*TV bound else."""
-    if d == 1:
-        return _wasserstein1_1d(f, g), True
-    return wasserstein1_bound(f, g, d, grid), False
-
-
 def distance_report(f, g, d: int, grid: TensorGrid,
                     oversample_tv: bool = False) -> DistanceReport:
-    """All four distances from one evaluation of f and g on the grid.
+    """Hellinger, TV, KL and W1 from one evaluation of f and g on the grid.
 
-    The d = 1 Wasserstein distance is exact and evaluates both densities
-    on its own nodes; for d > 1 it is the diam * TV bound.
+    hellinger = ((1/2) int (sqrt f - sqrt g)^2 dmu)^(1/2), tv = (1/2)
+    int |f - g| dmu and kl = int f log(f/g) dmu (+inf when g vanishes on
+    the support of f). The d = 1 Wasserstein distance is exact and
+    evaluates both densities on its own nodes; for d > 1 it is the
+    diam([-1,1]^d) * TV = 2 sqrt(d) * TV bound. oversample_tv adds TV on
+    a grid with 4x nodes per dimension.
     """
     fv, gv, w = _grid_values(f, g, grid)
     tv = _total_variation(fv, gv, w)
+    tv_fine = None
+    if oversample_tv:
+        fine = tensor_grid([4 * r.n for r in grid.rules])
+        tv_fine = _total_variation(*_grid_values(f, g, fine))
     if d == 1:
         w1, exact = _wasserstein1_1d(f, g), True
     else:
@@ -132,9 +107,7 @@ def distance_report(f, g, d: int, grid: TensorGrid,
         kl=_kl_divergence(fv, gv, w),
         w1=w1,
         w1_exact=exact,
-        tv_oversampled=(
-            total_variation_oversampled(f, g, grid) if oversample_tv else None
-        ),
+        tv_oversampled=tv_fine,
         grid_orders=tuple(r.n for r in grid.rules),
     )
 

@@ -60,13 +60,6 @@ class SparsePolynomial:
             if len(nu) > self.dim:
                 raise ValueError(f"index {nu} exceeds dimension {self.dim}")
 
-    @property
-    def max_degree(self) -> int:
-        return max((max(nu) for nu in self.terms if nu), default=0)
-
-    def max_degree_per_dim(self) -> list[int]:
-        return max_degree_per_dim(self.terms, self.dim)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
@@ -97,9 +90,6 @@ class SparsePolynomial:
         H.setflags(write=False)
         W.setflags(write=False)
         return H, W
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """Evaluate at points x of shape (m, dim) or a single point (dim,)."""
@@ -141,12 +131,12 @@ def zero_polynomial(dim: int) -> SparsePolynomial:
     return SparsePolynomial(dim, {})
 
 
-def project(f, index_set, grid: TensorGrid, min_margin: int = 1) -> SparsePolynomial:
+def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
     """Quadrature projection of f onto span{L_nu : nu in index_set}.
 
     f maps (m, k) points to (m,) values. Each grid dimension must have
-    order >= (max degree of that coordinate in the set) + min_margin,
-    otherwise the coefficients of the top-degree terms alias.
+    order > (max degree of that coordinate in the set), otherwise the
+    coefficients of the top-degree terms alias.
     """
     k = index_set.k
     if grid.d != k:
@@ -156,10 +146,9 @@ def project(f, index_set, grid: TensorGrid, min_margin: int = 1) -> SparsePolyno
         return zero_polynomial(k)
     maxdeg = max_degree_per_dim(members, k)
     for j, rule in enumerate(grid.rules):
-        if rule.n < maxdeg[j] + min_margin:
+        if rule.n < maxdeg[j] + 1:
             raise ValueError(
-                f"grid order {rule.n} in dim {j} below degree "
-                f"{maxdeg[j]} + margin {min_margin}"
+                f"grid order {rule.n} in dim {j} below degree {maxdeg[j]} + 1"
             )
     pts, w = grid.points_weights()
     vals = np.asarray(f(pts), dtype=np.float64)

@@ -23,12 +23,7 @@ from krtransport.indexsets import (
     xi_from_anisotropy,
 )
 from krtransport.kernels import legendre_table
-from krtransport.metrics import (
-    det_product_bound,
-    hellinger,
-    wasserstein1,
-    wasserstein1_bound,
-)
+from krtransport.metrics import det_product_bound, distance_report
 from krtransport.polybasis import sup_norm_bound, zero_polynomial
 from krtransport.quadrature import tensor_grid, uniform_grid
 from krtransport.studies import convergence_study, records_to_csv, truncation_study
@@ -152,13 +147,11 @@ def test_criterion_5_measure_convergence():
     ok = ok and last.distances.hellinger <= floor
     ok = ok and last.distances.tv <= floor
     ok = ok and last.distances.kl <= floor
-    # W1 bound dominates the exact 1d value
+    # the diam([-1,1]) * TV bound dominates the exact 1d W1
     grid1 = uniform_grid(40, 1)
     for c in [0.1, 0.4]:
-        f = linear_density([c])
-        exact, is_exact = wasserstein1(f, uniform(1), 1, grid1)
-        bound = wasserstein1_bound(f, uniform(1), 1, grid1)
-        ok = ok and is_exact and bound >= exact
+        rep = distance_report(linear_density([c]), uniform(1), 1, grid1)
+        ok = ok and rep.w1_exact and 2.0 * rep.tv >= rep.w1
     _report(5, "pushforward measure distances converge with the map", ok,
             f"final H {last.distances.hellinger:.2e}, "
             f"TV {last.distances.tv:.2e}, KL {last.distances.kl:.2e}")
@@ -262,7 +255,7 @@ def test_criterion_9_stability_bounds():
         g = coef[0] + coef[1] * pts[:, 0] + coef[2] * pts[:, 0] * pts[:, 1]
         fv, hv = f.evaluate(pts), h.evaluate(pts)
         lhs = abs(float((g * fv) @ w) - float((g * hv) @ w))
-        dh = hellinger(f, h, grid)
+        dh = distance_report(f, h, 2, grid).hellinger
         norms = math.sqrt(float((g * g * fv) @ w)) + math.sqrt(
             float((g * g * hv) @ w)
         )

@@ -161,16 +161,20 @@ def test_bad_density_family(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 
+PEAKED2 = {"family": "gaussian_posterior", "A": [[4.0, 2.0]],
+           "varsigma": [0.3], "sigma": 0.05}
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
-    # sum |c| >= 1 violates positivity -> caught at density build (config),
-    # so trigger a genuine numerical failure instead: epsilon outside (0,1)
+    # a valid config whose exact map cannot be resolved: the conditional
+    # density of component 1 needs more than 256 Legendre coefficients
     cfg = _write(tmp_path, "n.json", {
-        "reference": UNIFORM2, "target": LINEAR2,
-        "xi": {"alpha": 0.5}, "epsilon": 2.0,
+        "reference": UNIFORM2, "target": PEAKED2, "points": [[0.1, 0.2]],
     })
-    rc = _run(["--config", cfg, "--out", tmp_path, "approx", "build"])
+    rc = _run(["--config", cfg, "--out", tmp_path, "transport", "eval"])
     assert rc == 3
-    assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "component 1" in err["error"]
 
 
 def test_malformed_json(tmp_path, capsys):
@@ -225,6 +229,75 @@ def test_malformed_xi_is_config_error(tmp_path, capsys, command, spec):
     })
     assert _run(["--config", cfg, "--out", tmp_path, *command]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+BUILD2 = {"reference": UNIFORM2, "target": LINEAR2, "xi": {"alpha": 0.5},
+          "epsilon": 0.1}
+EVAL2 = {"reference": UNIFORM2, "target": LINEAR2, "points": [[0.1, 0.2]]}
+TRUNC = {"amplitude": 0.4, "s": 2.0, "d_max": 3, "epsilon_list": [0.3]}
+CONV2 = {"reference": UNIFORM2, "target": LINEAR2, "xi": {"alpha": 0.5},
+         "epsilon_list": [0.3]}
+POSTERIOR2 = {"A": [[1.0, 0.5]], "varsigma": [0.3], "sigma": 0.8,
+              "epsilon": 0.1, "n_samples": 10, "distance_grid_order": 6}
+
+
+@pytest.mark.parametrize("command, base, spec", [
+    (["approx", "build"], BUILD2, {"epsilon": 2.0}),
+    (["approx", "build"], BUILD2, {"epsilon": 0.0}),
+    (["sample"], BUILD2, {"n_samples": -3}),
+    (["sample"], BUILD2, {"n_samples": 2.5}),
+    (["sample"], BUILD2, {"n_samples": True}),
+    (["sample"], BUILD2, {"seed": -1}),
+    (["study", "truncation"], TRUNC, {"d_max": 0}),
+    (["study", "truncation"], TRUNC, {"n_cloud": 0}),
+    (["study", "truncation"], TRUNC, {"alpha": -1.0}),
+    (["study", "convergence"], CONV2, {"epsilon_list": [0.1, 1.5]}),
+    (["study", "convergence"], CONV2, {"distance_grid_order": 0}),
+    (["distance"], {"f": LINEAR2, "g": UNIFORM2}, {"grid_order": -2}),
+    (["transport", "eval"], EVAL2, {"inverse": "false"}),
+    (["study", "convergence"], CONV2, {"timing": "false"}),
+    (["study", "posterior"], POSTERIOR2, {"varsigma": [0.3, 0.1]}),
+    (["study", "posterior"], POSTERIOR2, {"sigma": 0.0}),
+    (["study", "posterior"], POSTERIOR2, {"A": [["a", 0.5]]}),
+    (["study", "posterior"], POSTERIOR2, {"A": [[1.0, 0.5, 0.2, 0.1, 0.1]]}),
+    (["study", "posterior"], POSTERIOR2, {"A": [[1.0, 0.0]]}),
+    (["study", "posterior"], POSTERIOR2, {"n_samples": 1}),
+], ids=["epsilon_above_one", "epsilon_zero", "n_samples_negative",
+        "n_samples_fractional", "n_samples_boolean", "seed_negative", "d_max_zero", "n_cloud_zero",
+        "alpha_negative", "epsilon_list_above_one", "distance_grid_order_zero",
+        "grid_order_negative", "inverse_string", "timing_string",
+        "posterior_varsigma_length", "posterior_sigma_zero",
+        "posterior_A_not_numeric", "posterior_d5", "posterior_zero_column",
+        "posterior_one_sample"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, command, base, spec):
+    cfg = _write(tmp_path, "r.json", {**base, **spec})
+    assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config"
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_seed_flag_is_range_checked(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json", BUILD2)
+    with pytest.raises(SystemExit) as exc:
+        _run(["--config", cfg, "--out", tmp_path, "--seed", "-1", "sample"])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "--seed" in err["error"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_keys_are_json_booleans(tmp_path, value):
+    pts = [[0.2, -0.3]]
+    cfg = _write(tmp_path, "b.json", {**EVAL2, "points": pts, "inverse": value})
+    assert _run(["--config", cfg, "--out", tmp_path, "transport", "eval"]) == 0
+    out = json.loads((tmp_path / "transport_eval.json").read_text())
+    assert out["inverse"] is value
+    tcfg = _write(tmp_path, "t.json", {**TRUNC, "timing": value})
+    assert _run(["--config", tcfg, "--out", tmp_path, "study", "truncation"]) == 0
+    walls = [r["wall_ms"] for r in
+             json.loads((tmp_path / "truncation.json").read_text())["records"]]
+    assert all(w > 0 for w in walls) if value else walls == [0.0]
 
 
 @pytest.mark.parametrize("command", [["transport", "eval"], ["distance"]],

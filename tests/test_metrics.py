@@ -9,12 +9,7 @@ from krtransport.density import linear_density, uniform
 from krtransport.metrics import (
     det_product_bound,
     distance_report,
-    hellinger,
-    kl_divergence,
     pushforward_distance,
-    total_variation,
-    total_variation_oversampled,
-    wasserstein1,
 )
 from krtransport.quadrature import uniform_grid
 from krtransport.transport import ExactTransport
@@ -26,9 +21,10 @@ GRID2 = uniform_grid(24, 2)
 
 def test_zero_distance_to_self():
     f = linear_density([0.3, 0.1])
-    assert hellinger(f, f, GRID2) == pytest.approx(0.0, abs=1e-14)
-    assert total_variation(f, f, GRID2) == pytest.approx(0.0, abs=1e-14)
-    assert kl_divergence(f, f, GRID2) == pytest.approx(0.0, abs=1e-14)
+    rep = distance_report(f, f, 2, GRID2)
+    assert rep.hellinger == pytest.approx(0.0, abs=1e-14)
+    assert rep.tv == pytest.approx(0.0, abs=1e-14)
+    assert rep.kl == pytest.approx(0.0, abs=1e-14)
 
 
 def test_tv_linear_vs_uniform_closed_form():
@@ -36,19 +32,18 @@ def test_tv_linear_vs_uniform_closed_form():
     c = 0.6
     f = linear_density([c])
     g = uniform(1)
-    assert total_variation(f, g, GRID1) == pytest.approx(c / 4, abs=1e-3)
+    rep = distance_report(f, g, 1, GRID1, oversample_tv=True)
+    assert rep.tv == pytest.approx(c / 4, abs=1e-3)
     # the oversampled value resolves the kink better
-    fine = total_variation_oversampled(f, g, GRID1)
-    assert fine == pytest.approx(c / 4, abs=1e-4)
+    assert rep.tv_oversampled == pytest.approx(c / 4, abs=1e-4)
 
 
 def test_hellinger_le_sqrt_tv():
     # H^2 <= TV for probability measures
     f = linear_density([0.5])
     g = uniform(1)
-    h = hellinger(f, g, GRID1)
-    tv = total_variation(f, g, GRID1)
-    assert h**2 <= tv + 1e-12
+    rep = distance_report(f, g, 1, GRID1)
+    assert rep.hellinger**2 <= rep.tv + 1e-12
 
 
 def test_hellinger_bounded_by_half_l2_over_sqrt_min():
@@ -58,7 +53,7 @@ def test_hellinger_bounded_by_half_l2_over_sqrt_min():
     pts, w = GRID1.points_weights()
     fv, gv = f.evaluate(pts), g.evaluate(pts)
     bound = math.sqrt(0.5 * float(((fv - gv) ** 2 / np.minimum(fv, gv)) @ w))
-    assert hellinger(f, g, GRID1) <= bound + 1e-12
+    assert distance_report(f, g, 1, GRID1).hellinger <= bound + 1e-12
 
 
 def test_kl_infinite_off_support():
@@ -67,13 +62,13 @@ def test_kl_infinite_off_support():
     def g(x):
         return np.where(x[:, 0] > 0, 2.0, 0.0)
 
-    assert kl_divergence(f, g, GRID1) == math.inf
+    assert distance_report(f, g, 1, GRID1).kl == math.inf
 
 
 def test_kl_nonnegative():
     f = linear_density([0.4])
     g = linear_density([-0.2])
-    assert kl_divergence(f, g, GRID1) > 0
+    assert distance_report(f, g, 1, GRID1).kl > 0
 
 
 def test_w1_exact_1d_translation_free_case():
@@ -81,28 +76,24 @@ def test_w1_exact_1d_translation_free_case():
     # c(t^2-1)/4 so W1 = c/3
     c = 0.3
     f = linear_density([c])
-    val, exact = wasserstein1(f, uniform(1), 1, GRID1)
-    assert exact is True
-    assert val == pytest.approx(c / 3, abs=1e-10)
+    rep = distance_report(f, uniform(1), 1, GRID1)
+    assert rep.w1_exact is True
+    assert rep.w1 == pytest.approx(c / 3, abs=1e-10)
 
 
 def test_w1_multid_is_flagged_bound():
     f = linear_density([0.3, 0.1])
-    val, exact = wasserstein1(f, uniform(2), 2, GRID2)
-    assert exact is False
-    assert val == pytest.approx(
-        2.0 * math.sqrt(2) * total_variation(f, uniform(2), GRID2), rel=1e-12
-    )
+    rep = distance_report(f, uniform(2), 2, GRID2)
+    assert rep.w1_exact is False
+    assert rep.w1 == pytest.approx(2.0 * math.sqrt(2) * rep.tv, rel=1e-12)
 
 
 def test_w1_bound_dominates_exact_1d():
-    from krtransport.metrics import wasserstein1_bound
-
+    # diam([-1,1]) * TV bounds the exact 1d value
     for c in [0.1, 0.3, 0.6]:
-        f = linear_density([c])
-        exact, flag = wasserstein1(f, uniform(1), 1, GRID1)
-        assert flag is True
-        assert wasserstein1_bound(f, uniform(1), 1, GRID1) >= exact
+        rep = distance_report(linear_density([c]), uniform(1), 1, GRID1)
+        assert rep.w1_exact is True
+        assert 2.0 * rep.tv >= rep.w1
 
 
 def test_distance_report_fields():
@@ -149,4 +140,4 @@ def test_negative_density_rejected():
         return -np.ones(x.shape[0])
 
     with pytest.raises(ValueError):
-        hellinger(f, g, GRID1)
+        distance_report(f, g, 1, GRID1)

@@ -138,7 +138,7 @@ def test_json_round_trip():
 def test_zero_polynomial():
     z = zero_polynomial(2)
     assert z.eval(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
-    assert z.max_degree == 0
+    assert z.terms == {}
 
 
 def test_dimension_guard():
