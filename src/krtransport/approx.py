@@ -76,34 +76,31 @@ def sqrt_shift_target(transport: ExactTransport, k: int):
     return target
 
 
-def projection_grid(
-    index_set: IndexSet,
-    margin: int = DEFAULT_MARGIN,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    anisotropy=None,
-) -> TensorGrid:
-    """Anisotropic projection grid for one component.
+def projection_grid(transport: ExactTransport, index_set: IndexSet) -> TensorGrid:
+    """The tensor grid that component index_set.k of the fit projects on.
 
     Dimensions carrying degree in the set (and the diagonal dimension)
-    get order maxdeg + margin. Dimensions the set never touches get a
-    single node at 0 -- exact for the linear part of the integrand's
-    dependence -- and are upgraded to 3 nodes greedily by anisotropy
-    weight while the total node count stays within budget.
+    get order maxdeg + DEFAULT_MARGIN. Dimensions the set never touches get
+    a single node at 0 -- exact for the linear part of the integrand's
+    dependence -- and are upgraded to 3 nodes greedily by the anisotropy of
+    the target (else the reference), largest first, while the total node
+    count stays within DEFAULT_NODE_BUDGET.
     """
     k = index_set.k
     maxdeg = index_set.max_degree_per_dim()
     orders = []
     for j in range(k):
         if maxdeg[j] > 0 or j == k - 1:
-            orders.append(maxdeg[j] + margin)
+            orders.append(maxdeg[j] + DEFAULT_MARGIN)
         else:
             orders.append(1)
     total = math.prod(orders)
     inactive = [j for j in range(k) if orders[j] == 1]
-    if anisotropy is not None:
-        inactive.sort(key=lambda j: -anisotropy[j])
+    b = transport.target.anisotropy or transport.reference.anisotropy
+    if b:
+        inactive.sort(key=lambda j: -b[j])
     for j in inactive:
-        if total * 3 > node_budget:
+        if total * 3 > DEFAULT_NODE_BUDGET:
             break
         orders[j] = 3
         total *= 3
@@ -235,10 +232,8 @@ def fit_component(transport: ExactTransport, k: int,
     """Project sqrt(d/dx_k T_k) - 1 onto the index set to get p_k."""
     if not lam.members:
         return RationalComponent(k=k, p=zero_polynomial(k), lam=lam)
-    b = transport.target.anisotropy or transport.reference.anisotropy
-    grid = projection_grid(lam, anisotropy=b[:k] if b else None)
     target = sqrt_shift_target(transport, k)
-    p = project(target, lam, grid)
+    p = project(target, lam, projection_grid(transport, lam))
     return RationalComponent(k=k, p=p, lam=lam)
 
 
@@ -322,10 +317,9 @@ def build_approx_transport(
     xi: WeightVector,
     epsilon: float,
     exact: ExactTransport | None = None,
-    d: int | None = None,
 ) -> ApproxTransport:
     """Fit all components on Lambda_{k,epsilon}, k = 1..d."""
-    d = d or rho.d
+    d = rho.d
     if len(xi) < d:
         raise ValueError(f"weight vector has {len(xi)} entries, need {d}")
     exact = exact or ExactTransport(reference=rho, target=pi)

@@ -31,6 +31,7 @@ from .studies import (
     records_to_csv,
     rng_from_seed,
     truncation_study,
+    truncation_target,
 )
 from .transport import ExactTransport
 
@@ -340,6 +341,10 @@ def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
     n_cloud = cfg.take_as("n_cloud", _count, 512)
     timing = cfg.take_as("timing", _flag, False)
     cfg.finish()
+    try:
+        truncation_target(amplitude, s, d_max)
+    except ValueError as e:
+        raise ConfigError(f"bad truncation amplitude or s: {e}") from e
     records, fit = truncation_study(
         amplitude, s, d_max, eps_list, alpha=alpha, seed=seed,
         n_cloud=n_cloud, clock=time.perf_counter if timing else None,

@@ -51,9 +51,10 @@ def linear_density(c) -> Density:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1 or len(c) < 1:
         raise ValueError("c must be a nonempty coefficient vector")
-    if np.sum(np.abs(c)) >= 1.0:
+    # written so that NaN fails it too
+    if not np.sum(np.abs(c)) < 1.0:
         raise ValueError(
-            f"sum |c_j| = {np.sum(np.abs(c)):.6g} >= 1 violates positivity"
+            f"sum |c_j| = {np.sum(np.abs(c)):.6g} is not < 1: positivity fails"
         )
     d = len(c)
 
@@ -81,7 +82,7 @@ def gaussian_posterior(A, varsigma, sigma: float) -> Density:
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     varsigma = np.atleast_1d(np.asarray(varsigma, dtype=np.float64))
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     m, d = A.shape
     if varsigma.shape != (m,):

@@ -19,7 +19,8 @@ class WeightVector:
     xi: tuple
 
     def __post_init__(self):
-        if any(x <= 1.0 for x in self.xi):
+        # written so that NaN fails it too
+        if not all(x > 1.0 for x in self.xi):
             raise ValueError("all weights must exceed 1")
 
     def __len__(self):
@@ -35,9 +36,9 @@ class WeightVector:
 def xi_from_anisotropy(b, alpha: float = 1.0) -> WeightVector:
     """xi_j = 1 + alpha / b_j from positive importance coefficients b_j."""
     b = [float(v) for v in b]
-    if any(v <= 0 for v in b):
+    if not all(v > 0 for v in b):
         raise ValueError("anisotropy coefficients must be positive")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     return WeightVector(tuple(1.0 + alpha / v for v in b))
 

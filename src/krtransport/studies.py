@@ -8,7 +8,7 @@ wall_ms column is 0 so that output files are deterministic; pass
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,14 +78,7 @@ class RateFit:
     status: str = "ok"
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def fit_rate(n_eps, errors, model: str, d: int = 1) -> RateFit:
@@ -111,12 +104,12 @@ def fit_rate(n_eps, errors, model: str, d: int = 1) -> RateFit:
     return RateFit(model, float(slope), float(intercept), r2, len(errors))
 
 
-def _sample_points(rng: np.random.Generator, k: int, n_cloud: int,
-                   comp=None) -> np.ndarray:
-    """Seeded uniform cloud, plus the component's projection-grid nodes."""
-    pts = rng.uniform(-1.0, 1.0, size=(n_cloud, k))
-    if comp is not None and comp.lam is not None and comp.lam.members:
-        grid_pts, _ = projection_grid(comp.lam).points_weights()
+def _sample_points(rng: np.random.Generator, exact: ExactTransport,
+                   n_cloud: int, comp) -> np.ndarray:
+    """Seeded uniform cloud, plus the nodes the fit projected comp on."""
+    pts = rng.uniform(-1.0, 1.0, size=(n_cloud, comp.k))
+    if comp.lam.members:
+        grid_pts, _ = projection_grid(exact, comp.lam).points_weights()
         pts = np.concatenate([pts, grid_pts], axis=0)
     return pts
 
@@ -165,7 +158,6 @@ def convergence_study(
     seed: int = 0,
     n_cloud: int = 2048,
     distance_grid_order: int | None = None,
-    with_distances: bool = True,
     clock=None,
 ):
     """Exponential-rate sweep at fixed dimension.
@@ -178,7 +170,7 @@ def convergence_study(
     d = rho.d
     exact = ExactTransport(reference=rho, target=pi)
     order = distance_grid_order or _distance_grid_order(d)
-    grid = uniform_grid(order, d) if with_distances else None
+    grid = uniform_grid(order, d)
     records = []
     for eps in eps_list:
         t0 = clock() if clock else 0.0
@@ -186,21 +178,27 @@ def convergence_study(
         approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
         sup_t = sup_dt = 0.0
         for k in range(1, d + 1):
-            pts = _sample_points(rng, k, n_cloud, approx.components[k - 1])
+            pts = _sample_points(rng, exact, n_cloud, approx.components[k - 1])
             et, edt = component_sup_errors(exact, approx, k, pts)
             sup_t = max(sup_t, et)
             sup_dt = max(sup_dt, edt)
-        dist = (
-            pushforward_distance(approx, rho, pi, grid) if with_distances else None
-        )
+        dist = pushforward_distance(approx, rho, pi, grid)
         records.append(_record(eps, approx, sup_t, sup_dt, dist, t0, clock))
-    errs = [r.sup_err_T for r in records]
-    if max(errs, default=0.0) <= ERROR_FLOOR:
-        fit = RateFit("exponential", math.nan, math.nan, math.nan, 0,
-                      status="degenerate")
-    else:
-        fit = fit_rate([r.n_eps for r in records], errs, "exponential", d=d)
+    fit = fit_rate([r.n_eps for r in records], [r.sup_err_T for r in records],
+                   "exponential", d=d)
     return records, fit
+
+
+def truncation_target(amplitude: float, s: float, d_max: int) -> Density:
+    """The linear target of the truncation sweep, c_j = amplitude * j^-s.
+
+    ValueError unless every c_j is nonzero (each coordinate needs a weight
+    xi_j = 1 + alpha / |c_j|) and the density is positive (sum |c_j| < 1).
+    """
+    c = amplitude * np.arange(1, d_max + 1, dtype=np.float64) ** (-float(s))
+    if np.any(c == 0.0):
+        raise ValueError(f"c_j = amplitude * j^-s is 0 for some j <= {d_max}")
+    return linear_density(c)
 
 
 def truncation_study(
@@ -223,8 +221,7 @@ def truncation_study(
     one solve per study, before the epsilon loop, so wall_ms (the time of
     one epsilon) does not include it.
     """
-    c = amplitude * np.arange(1, d_max + 1, dtype=np.float64) ** (-float(s))
-    pi = linear_density(c)
+    pi = truncation_target(amplitude, s, d_max)
     rho = uniform(d_max)
     exact = ExactTransport(reference=rho, target=pi)
     xi = xi_from_anisotropy(pi.anisotropy, alpha)
@@ -233,7 +230,7 @@ def truncation_study(
     records = []
     for eps in eps_list:
         t0 = clock() if clock else 0.0
-        approx = build_approx_transport(rho, pi, xi, eps, exact=exact, d=d_max)
+        approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
         agg_t = agg_dt = 0.0
         for k in range(1, d_max + 1):
             xk = pts[:, :k]

@@ -138,27 +138,28 @@ def _component_points(k: int, d: int, x) -> np.ndarray:
     return x
 
 
-def _single_group(m: int):
-    """(group, first) for m rows that all share the empty prefix."""
-    return np.zeros(m, dtype=np.intp), np.arange(min(m, 1))
+def _prefix_groups(x: np.ndarray, kmax: int):
+    """Yield (group, first) for the prefix lengths k = 0..kmax of the rows of x.
 
-
-def _refine_groups(group: np.ndarray, col: np.ndarray):
-    """Split the row groups by the bit pattern of one more coordinate.
-
-    group: (m,) ids in [0, G); col: (m,) float64. Returns (group', first):
-    rows share an id in group' iff they share one in group and col is
-    bitwise equal; ids follow the (group, bits) sort order, so they do not
-    depend on the order of the rows. first holds one row index per id.
+    Rows share an id in group iff x[:, :k] is bitwise equal; ids follow the
+    lexicographic order of the int64 bit patterns, so they do not depend on
+    the order of the rows. first holds one row index per id. One lexsort
+    over the kmax columns orders the rows for every k: a group of prefix
+    length k starts where a sorted row differs from the previous one in any
+    of its first k columns. Levels are built one at a time, in O(m) memory.
     """
-    bits = col.view(np.int64)
-    order = np.lexsort((bits, group))
-    g, b = group[order], bits[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (g[1:] != g[:-1]) | (b[1:] != b[:-1])
-    out = np.empty_like(group)
-    out[order] = np.cumsum(new) - 1
-    return out, order[new]
+    bits = x[:, :kmax].view(np.int64)
+    m = bits.shape[0]
+    # lexsort takes its primary key last and rejects zero keys
+    order = np.lexsort(bits.T[::-1]) if kmax else np.arange(m)
+    new = np.zeros(m, dtype=bool)
+    new[:1] = True
+    for k in range(kmax + 1):
+        if k:  # int64 np.diff wraps around: 0 only between equal bits
+            new[1:] |= np.diff(bits[order, k - 1]) != 0
+        group = np.empty(m, dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        yield group, order[new]
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,8 @@ class ExactTransport:
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        group, first = _single_group(prefix.shape[0])
-        for j in range(prefix.shape[1]):
-            group, first = _refine_groups(group, prefix[:, j])
+        for group, first in _prefix_groups(prefix, prefix.shape[1]):
+            pass  # the groups of the whole prefix are the last level
         C = legendre_antiderivative(self._density_series(f, k, prefix[first]))
         return legendre_series(C[group], t)
 
@@ -264,9 +264,9 @@ class ExactTransport:
         D = np.empty((kmax, m))
         # group ids of rows by x_[k-1] (pre) and by x_[k] (group); sub maps
         # each x_[k] group to its x_[k-1] group
-        pre, pre_first = _single_group(m)
-        for k in range(1, kmax + 1):
-            group, first = _refine_groups(pre, x[:, k - 1])
+        levels = _prefix_groups(x, kmax)
+        pre, pre_first = next(levels)
+        for k, (group, first) in enumerate(levels, start=1):
             sub = pre[first]
             xk = x[first, k - 1]
             A_src = self._density_series(src, k, x[pre_first, : k - 1])

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krtransport.approx import (
+    DEFAULT_MARGIN,
+    DEFAULT_NODE_BUDGET,
     ApproxTransport,
     RationalComponent,
     build_approx_transport,
@@ -304,12 +306,16 @@ def test_n_eps_counts_index_sets():
 
 
 def test_projection_grid_respects_budget():
-    lam = IndexSet(k=6, epsilon=0.1,
-                   members=((), (1,), (0, 0, 0, 0, 0, 1)))
-    g = projection_grid(lam, margin=4, node_budget=500)
-    assert g.size <= 500
+    # ten inactive dimensions and a non-monotone anisotropy b: the budget
+    # upgrades the eight with the largest b_j, 11 * 3^8 = 72,171 nodes
+    b = [0.1, 0.3, 0.05, 0.2, 0.02, 0.25, 0.01, 0.15, 0.04, 0.3, 0.2]
+    exact = ExactTransport(uniform(11), linear_density(0.5 * np.array(b)))
+    lam = IndexSet(k=11, epsilon=0.1, members=((), (0,) * 10 + (1,)))
+    g = projection_grid(exact, lam)
+    assert g.size == 72_171 <= DEFAULT_NODE_BUDGET < 3 * g.size
+    assert [r.n for r in g.rules] == [3, 3, 3, 3, 1, 3, 1, 3, 3, 3, 11]
     # diagonal dimension always resolved
-    assert g.rules[-1].n >= 5
+    assert g.rules[-1].n == 1 + DEFAULT_MARGIN
 
 
 def test_weight_vector_length_guard():

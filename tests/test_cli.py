@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from krtransport.cli import main
+from krtransport.density import linear_density
+from krtransport.indexsets import WeightVector, xi_from_anisotropy
+from krtransport.studies import truncation_study
 
 LINEAR2 = {"family": "linear", "c": [0.3, 0.2]}
 UNIFORM2 = {"family": "uniform", "d": 2}
@@ -275,6 +278,38 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, command, base, spe
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config"
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("api, command, base, spec", [
+    (lambda: linear_density([NAN, 0.2]), ["approx", "build"], BUILD2,
+     {"target": {"family": "linear", "c": [NAN, 0.2]}}),
+    (lambda: WeightVector((NAN, 2.0)), ["approx", "build"], BUILD2,
+     {"xi": [NAN, 2.0]}),
+    (lambda: xi_from_anisotropy([NAN, 0.2]), ["approx", "build"], BUILD2,
+     {"xi": {"anisotropy": [NAN, 0.2]}}),
+    (lambda: truncation_study(0.0, 2.0, 3, [0.3]), ["study", "truncation"],
+     TRUNC, {"amplitude": 0.0}),
+    (lambda: truncation_study(2.0, 2.0, 3, [0.3]), ["study", "truncation"],
+     TRUNC, {"amplitude": 2.0}),
+    (lambda: truncation_study(0.4, NAN, 3, [0.3]), ["study", "truncation"],
+     TRUNC, {"s": NAN}),
+], ids=["linear_c_nan", "xi_nan", "anisotropy_nan", "amplitude_zero",
+        "amplitude_not_positive_density", "s_nan"])
+def test_invalid_value_is_api_and_config_error(tmp_path, capsys, api, command,
+                                               base, spec):
+    with pytest.raises(ValueError):
+        api()
+    cfg = _write(tmp_path, "v.json", {**base, **spec})
+    assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+def test_negative_amplitude_is_a_valid_truncation_target(tmp_path):
+    cfg = _write(tmp_path, "t.json", {**TRUNC, "amplitude": -0.4})
+    assert _run(["--config", cfg, "--out", tmp_path, "study", "truncation"]) == 0
 
 
 def test_seed_flag_is_range_checked(tmp_path, capsys):

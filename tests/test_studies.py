@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from krtransport import approx as approx_module
 from krtransport import studies
 from krtransport.approx import build_approx_transport
 from krtransport.density import conditional, linear_density, uniform
-from krtransport.indexsets import xi_from_anisotropy
+from krtransport.indexsets import IndexSet, xi_from_anisotropy
+from krtransport.polybasis import zero_polynomial
 from krtransport.studies import (
     CSV_HEADER,
     RateFit,
@@ -121,12 +123,16 @@ def test_convergence_study_deterministic():
 def test_convergence_study_timing_optin():
     import time
 
-    records, _ = _small_study(with_distances=False, clock=time.perf_counter)
+    records, _ = _small_study(clock=time.perf_counter)
     assert all(r.wall_ms > 0 for r in records)
 
 
+def _small_truncation():
+    return truncation_study(0.4, 2.0, 6, EPS_LIST, seed=3, n_cloud=64)
+
+
 def test_csv_format():
-    records, _ = _small_study(with_distances=False)
+    records, _ = _small_truncation()
     csv = records_to_csv(records)
     lines = csv.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -160,7 +166,7 @@ def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=5
     xi = xi_from_anisotropy(pi.anisotropy, 1.0)
     records = []
     for eps in eps_list:
-        approx = build_approx_transport(rho, pi, xi, eps, exact=exact, d=d_max)
+        approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
         pts = rng_from_seed(seed).uniform(-1.0, 1.0, size=(n_cloud, d_max))
         y, D = exact._solve(rho, pi, pts, d_max)
         agg_t = agg_dt = 0.0
@@ -203,6 +209,26 @@ def test_truncation_study_solves_reference_once(monkeypatch):
     assert records_to_csv(records) == expect
 
 
+def test_study_samples_the_nodes_the_fit_projected_on(monkeypatch):
+    # b is not monotone and the node budget binds (11 * 3^8 nodes), so the
+    # upgraded inactive dimensions follow the target's anisotropy
+    b = [0.1, 0.3, 0.05, 0.2, 0.02, 0.25, 0.01, 0.15, 0.04, 0.3, 0.2]
+    exact = ExactTransport(uniform(11), linear_density(0.5 * np.array(b)))
+    lam = IndexSet(k=11, epsilon=0.1, members=((), (0,) * 10 + (1,)))
+    grids = []
+
+    def record(target, index_set, grid):
+        grids.append(grid)
+        return zero_polynomial(index_set.k)
+
+    monkeypatch.setattr(approx_module, "project", record)
+    comp = approx_module.fit_component(exact, 11, lam)
+    fit_nodes, _ = grids[0].points_weights()
+    assert fit_nodes.shape == (72_171, 11)
+    pts = studies._sample_points(rng_from_seed(0), exact, 5, comp)
+    assert np.array_equal(pts[5:], fit_nodes)
+
+
 def test_one_solve_gives_every_diagonal_derivative():
     # the studies read the exact derivatives off one solve; the closed form
     # f_ref;k / f_tar;k of density.conditional stays an independent check
@@ -237,7 +263,7 @@ def test_posterior_demo_dimension_guard():
 
 
 def test_sweep_record_json():
-    records, _ = _small_study(with_distances=False)
+    records, _ = _small_truncation()
     j = records[0].to_json()
     assert j["N_eps"] == records[0].n_eps
     assert j["distances"] is None

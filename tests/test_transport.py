@@ -346,6 +346,35 @@ def test_series_built_once_per_distinct_prefix():
     assert counted == [distinct * n]
 
 
+def _check_prefix_groups(x, kmax):
+    """Every level of _prefix_groups against np.unique on the bit patterns."""
+    levels = 0
+    for k, (group, first) in enumerate(transport._prefix_groups(x, kmax)):
+        bits = x[:, :k].view(np.int64)
+        rows, inverse = np.unique(bits, axis=0, return_inverse=True)
+        assert np.array_equal(group, inverse.ravel())
+        assert np.array_equal(bits[first], rows)
+        levels += 1
+    assert levels == kmax + 1
+
+
+@pytest.mark.parametrize("m, kmax", [(0, 3), (1, 3), (1, 0), (7, 0)])
+def test_prefix_groups_small_cases(m, kmax):
+    _check_prefix_groups(_rng(m).uniform(-1, 1, size=(m, kmax + 1)), kmax)
+
+
+def test_prefix_groups_match_unique():
+    # duplicated and shuffled rows from few values, -0.0 beside 0.0 (a
+    # different bit pattern, so a different group) and a one-ulp neighbour
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, np.nextafter(0.5, 1.0)])
+    rng = _rng(11)
+    for _ in range(300):
+        m, kmax = int(rng.integers(0, 40)), int(rng.integers(0, 5))
+        x = rng.choice(values, size=(m, kmax + 1))
+        x = np.concatenate([x, x[rng.integers(0, m, size=m // 2)]]) if m else x
+        _check_prefix_groups(x[rng.permutation(x.shape[0])], kmax)
+
+
 def test_root_solved_once_per_distinct_prefix(monkeypatch):
     # a 3 x 3 x 11 grid has 3, 9 and 99 distinct x_[k] at k = 1, 2, 3
     t = ExactTransport(reference=uniform(3), target=linear_density([0.3, 0.2, 0.1]))
