@@ -19,8 +19,10 @@ b = Phi @ W (+1 on b_0), where Phi[i, h] = prod_j L_{H[h,j]}(x_ij) needs one
 Legendre table per prefix coordinate that H uses.
 Orthonormality gives c_k = 2 sum_n b_n^2, and Tt_k = 2F - 1 with F the CDF
 of the density 2 q^2 / c_k: q^2 has degree 2N, so its values at 2N+1 Gauss
-nodes give the exact Legendre series of F, and the exact transport's
-series solver inverts it. That solve also returns F' at the root, so the
+nodes give the exact Legendre series of F. One cached matrix takes those
+values straight to the Chebyshev coefficients of F, the basis in which
+F and q are evaluated pointwise, and the exact transport's series solver
+inverts F. That solve also returns F' at the root, so the
 inverse map yields the diagonal derivatives Tt_k' = 2F' with no second
 series build, which is all ``pushforward_density`` needs.
 """
@@ -38,8 +40,9 @@ from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
 from .polybasis import (
     SparsePolynomial,
+    chebyshev_series,
     legendre_antiderivative,
-    legendre_series,
+    legendre_to_chebyshev,
     project,
     zero_polynomial,
 )
@@ -111,14 +114,16 @@ def projection_grid(transport: ExactTransport, index_set: IndexSet) -> TensorGri
 def _square_cdf_matrices(n1: int):
     """(L, M) for series q of length n1 = N + 1, as read-only arrays.
 
-    q at the 2N+1 Gauss nodes is B @ L, and (q * q) @ M holds the Legendre
+    q at the 2N+1 Gauss nodes is B @ L, and (q * q) @ M holds the Chebyshev
     coefficients of (1/2) int_{-1}^{t} q^2: the rule projects q^2 (degree
-    2N) exactly, and the antiderivative of the projection is exact.
+    2N) exactly onto the Legendre basis, the antiderivative of the
+    projection is exact, and M ends in the conversion to Chebyshev.
     """
     rule = gauss_legendre(2 * n1 - 1)
     L = kernels.legendre_table(rule.nodes, n1 - 1).T.copy()
     M = legendre_antiderivative(
-        rule.weights[:, None] * kernels.legendre_table(rule.nodes, 2 * n1 - 2))
+        rule.weights[:, None] * kernels.legendre_table(rule.nodes, 2 * n1 - 2)
+    ) @ legendre_to_chebyshev(2 * n1)
     L.setflags(write=False)
     M.setflags(write=False)
     return L, M
@@ -175,7 +180,7 @@ class RationalComponent:
         return self._c(self._t_coeffs(prefix))
 
     def _cdf(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(m, 2N+2): the Legendre series in t of the CDF of 2 q^2 / c."""
+        """(m, 2N+2): the Chebyshev series in t of the CDF of 2 q^2 / c."""
         L, M = _square_cdf_matrices(B.shape[1])
         q = B @ L
         return ((q * q) @ M) * (2.0 / c)[:, None]
@@ -186,7 +191,7 @@ class RationalComponent:
         if self.is_identity:
             return x[:, -1].copy()
         B = self._t_coeffs(x[:, :-1])
-        F = legendre_series(self._cdf(B, self._c(B)), x[:, -1])
+        F = chebyshev_series(self._cdf(B, self._c(B)), x[:, -1])
         return np.clip(2.0 * F - 1.0, -1.0, 1.0)
 
     def deriv(self, x) -> np.ndarray:
@@ -195,7 +200,8 @@ class RationalComponent:
         if self.is_identity:
             return np.ones(x.shape[0])
         B = self._t_coeffs(x[:, :-1])
-        return 2.0 * legendre_series(B, x[:, -1]) ** 2 / self._c(B)
+        q = chebyshev_series(B @ legendre_to_chebyshev(B.shape[1]), x[:, -1])
+        return 2.0 * q**2 / self._c(B)
 
     def invert(self, prefix, y):
         """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
@@ -208,9 +214,10 @@ class RationalComponent:
         B = self._t_coeffs(prefix)
         c = self._c(B)
         n1 = B.shape[1]
+        Bc = B @ legendre_to_chebyshev(n1)
         t, dF = _invert_cdf(
             self._cdf(B, c), 0.5 * (y + 1.0),
-            lambda L: np.einsum("mn,mn->m", L[:, :n1], B) ** 2 / c,
+            lambda T: np.einsum("mn,mn->m", T[:, :n1], Bc) ** 2 / c,
         )
         return t, 2.0 * dF
 

@@ -13,6 +13,7 @@ emitted as a JSON object on stderr.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -96,7 +97,10 @@ def _epsilon(value) -> float:
 
 
 def _epsilons(values) -> list:
-    return [_epsilon(v) for v in values]
+    eps = [_epsilon(v) for v in values]
+    if not eps:
+        raise ValueError("epsilon_list must not be empty")
+    return eps
 
 
 def _positive(value) -> float:
@@ -195,10 +199,24 @@ def _read_map(path) -> ApproxTransport:
         raise ConfigError(f"bad map file {path!r}: {e}") from e
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float (a degenerate rate fit's NaN, an
+    infinite KL) replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(out_dir: Path, name: str, obj) -> Path:
+    """Strict JSON: non-finite floats become null, and allow_nan=False
+    makes any that slip past (a numpy scalar that is no float) an error."""
     path = out_dir / name
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite_or_null(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 

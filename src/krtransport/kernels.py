@@ -1,13 +1,17 @@
-"""Hot numeric kernels: orthonormal Legendre tables and sparse tensor-Legendre
-evaluation, in plain numpy.
+"""Hot numeric kernels, in plain numpy: orthonormal Legendre tables (the
+projection basis), Chebyshev tables (the basis every 1d series in t is
+evaluated in) and sparse tensor-Legendre evaluation.
 
-``perfbench/kernels_micro.py`` times both kernels and states their
-operation and byte counts.
+Both tables run a three-term recurrence, one row per degree; the Chebyshev
+one, T_{n+1} = 2x T_n - T_{n-1}, takes two array operations per degree
+against the Legendre one's six. ``perfbench/kernels_micro.py`` times the
+Legendre table and the tensor evaluation and states their operation and
+byte counts.
 """
 
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "legendre_table", "poly_eval_tables"]
+__all__ = ["NUMBA_ENABLED", "chebyshev_table", "legendre_table", "poly_eval_tables"]
 
 # There is no compiled path; perfbench/run.py and perfbench/kernels_micro.py
 # read this flag to record the kernel provenance of a run.
@@ -31,6 +35,26 @@ def legendre_table(x: np.ndarray, nmax: int) -> np.ndarray:
         # classical three-term recurrence on the unnormalized P_n
         out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
     out *= np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)[:, None]
+    return out.T
+
+
+def chebyshev_table(x: np.ndarray, nmax: int) -> np.ndarray:
+    """Chebyshev values T_0(x)..T_nmax(x), shape (len(x), nmax+1).
+
+    The recurrence T_{n+1} = (2x) T_n - T_{n-1} in the operation order of
+    ``numpy.polynomial.chebyshev.chebvander``, so the values are bitwise
+    the same (its x + 0.0 included, which turns -0.0 into 0.0).
+    """
+    x = np.asarray(x, dtype=np.float64) + 0.0
+    # filled as (nmax+1, npts): each recurrence step writes a contiguous row
+    out = np.empty((nmax + 1, x.shape[0]))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = x
+        x2 = 2.0 * x
+    for n in range(1, nmax):
+        np.multiply(out[n], x2, out=out[n + 1])
+        out[n + 1] -= out[n - 1]
     return out.T
 
 

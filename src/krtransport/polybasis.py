@@ -3,16 +3,17 @@
 The 1d basis is L_n = sqrt(2n+1) P_n, orthonormal in L^2([-1,1]; mu) with
 mu the uniform probability measure. Multiindices are tuples of nonnegative
 ints with trailing zeros trimmed; tensor basis functions are products of
-1d factors.
+1d factors. A 1d series in L_n converts to the Chebyshev basis by one
+matrix (``legendre_to_chebyshev``), in which it is evaluated pointwise.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernels import legendre_table, poly_eval_tables
+from .kernels import chebyshev_table, legendre_table, poly_eval_tables
 from .quadrature import TensorGrid
 
 
@@ -169,13 +170,35 @@ def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
     return SparsePolynomial(k, terms)
 
 
-def legendre_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """q_i(t_i) = sum_n B[i, n] L_n(t_i), one 1d series per row of B.
+@lru_cache(maxsize=None)
+def legendre_to_chebyshev(n: int) -> np.ndarray:
+    """P (n, n), read-only: A @ P holds the Chebyshev coefficients of the
+    series with orthonormal Legendre coefficients A (..., n).
+
+    Row i holds L_i in the Chebyshev basis, from the closed form
+    P_i = sum_{2j <= i} (2 - [2j = i]) r_j r_{i-j} T_{i-2j} with
+    r_j = prod_{l=1}^{j} (l - 1/2) / l = Gamma(j + 1/2) / (sqrt(pi) j!).
+    The products are all positive, so every entry is accurate to a few
+    ulps, and |P[i, l]| <= sqrt(3).
+    """
+    j = np.arange(1, n)
+    r = np.cumprod(np.concatenate([[1.0], (j - 0.5) / j]))
+    P = np.zeros((n, n))
+    for i in range(n):
+        j = np.arange(i // 2 + 1)
+        P[i, i - 2 * j] = r[j] * r[i - j] * np.where(2 * j == i, 1.0, 2.0)
+    P *= np.sqrt(2.0 * np.arange(n) + 1.0)[:, None]
+    P.setflags(write=False)
+    return P
+
+
+def chebyshev_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q_i(t_i) = sum_n B[i, n] T_n(t_i), one 1d Chebyshev series per row of B.
 
     t is (m,) or (m, s); the result has the shape of t.
     """
     n1 = B.shape[1]
-    table = legendre_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
+    table = chebyshev_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
     return np.einsum("m...n,mn->m...", table, B)
 
 

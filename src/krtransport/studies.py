@@ -118,8 +118,8 @@ def component_sup_errors(exact: ExactTransport, approx: ApproxTransport,
                          k: int, pts: np.ndarray):
     """(sup |T_k - Tt_k|, sup |dT_k - dTt_k|) over the sample points."""
     # one solve gives T_k and its diagonal derivative
-    y, D = exact._solve(exact.reference, exact.target, pts, k)
-    t_ex, d_ex = y[:, k - 1], D[:, k - 1]
+    y, D = exact._solve(exact.reference, exact.target, pts, k, nderiv=1)
+    t_ex, d_ex = y[:, k - 1], D[:, 0]
     t_ap = approx.component(k, pts)
     d_ap = approx.diag_deriv(k, pts)
     return (
@@ -150,6 +150,11 @@ def _record(eps, approx: ApproxTransport, sup_t: float, sup_dt: float,
     )
 
 
+def _check_eps_list(eps_list):
+    if len(eps_list) == 0:
+        raise ValueError("eps_list is empty: a study needs at least one epsilon")
+
+
 def convergence_study(
     rho: Density,
     pi: Density,
@@ -165,8 +170,9 @@ def convergence_study(
     Returns (records, rate_fit). For each epsilon the approximate
     transport is fitted, sup errors against the exact transport are
     sampled, and distances between the induced measure and the target
-    are computed on a shared tensor grid.
+    are computed on a shared tensor grid. ValueError on an empty eps_list.
     """
+    _check_eps_list(eps_list)
     d = rho.d
     exact = ExactTransport(reference=rho, target=pi)
     order = distance_grid_order or _distance_grid_order(d)
@@ -219,8 +225,9 @@ def truncation_study(
     cloud of n_cloud points; the fit is algebraic (log error vs log N).
     The exact reference, T and its diagonal derivatives on the cloud, is
     one solve per study, before the epsilon loop, so wall_ms (the time of
-    one epsilon) does not include it.
+    one epsilon) does not include it. ValueError on an empty eps_list.
     """
+    _check_eps_list(eps_list)
     pi = truncation_target(amplitude, s, d_max)
     rho = uniform(d_max)
     exact = ExactTransport(reference=rho, target=pi)

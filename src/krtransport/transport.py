@@ -4,19 +4,23 @@ Component k maps x_k through the reference conditional CDF and back
 through the inverse of the target conditional CDF, with the prefix fed
 through the earlier components. The conditional density f_k(prefix, .)
 becomes one series per distinct prefix: rows of a batch with bitwise-equal
-x_<k share one Legendre series in t of the marginal hat f_k(prefix, .),
-divided by its own mass A_0, so that the CDF (its exact antiderivative)
-reaches 1 at t = 1 up to rounding. The bracketed bisection-Newton root
-solve works on that series alone, once per distinct x_<=k (rows that share
-it share the root), and starts each root at the regula-falsi point of the
-bracket [-1, 1], where F(-1) and F(1) are already known for the bracket
-check. Every solve also returns the whole diagonal of its Jacobian, the
-ratio of the two density series at each k, so one inverse solve gives
-both the preimage and the determinant ``pushforward_density`` needs. The
-rational components of ``approx`` hand their CDF series to the same
-solver, which returns the root and the CDF slope there. All point
-operations are vectorized over batches of points; both maps reject points
-outside [-1, 1]^d, NaN included, and component indices outside 1..d.
+x_<k share one series in t of the marginal hat f_k(prefix, .). It is
+projected onto the Legendre basis on a Gauss rule (which also decides its
+length) and divided by its own mass A_0, so that the CDF (its exact
+antiderivative) reaches 1 at t = 1 up to rounding; both are then converted
+to Chebyshev coefficients, the basis every series in t is evaluated in.
+The bracketed bisection-Newton root solve works on that series alone, once
+per distinct x_<=k (rows that share it share the root). It starts each
+root at the regula-falsi point of the bracket [-1, 1], where the CDF
+series gives F(-1) and F(1) in closed form, since T_n(+-1) = (+-1)^n.
+A solve also returns the diagonal of its Jacobian, the ratio of the two
+density series at each k, for the components its caller reads, so one
+inverse solve gives both the preimage and the determinant
+``pushforward_density`` needs. The rational components of ``approx`` hand
+their CDF series to the same solver, which returns the root and the CDF
+slope there. All point operations are vectorized over batches of points;
+both maps reject points outside [-1, 1]^d, NaN included, and component
+indices outside 1..d.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,11 @@ import numpy as np
 
 from . import kernels
 from .density import Density, marginal_hat
-from .polybasis import legendre_antiderivative, legendre_series
+from .polybasis import (
+    chebyshev_series,
+    legendre_antiderivative,
+    legendre_to_chebyshev,
+)
 from .quadrature import gauss_legendre
 
 DEFAULT_CDF_ORDER = 32
@@ -39,7 +47,7 @@ _NODE_BLOCK = 1 << 19
 
 
 def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
-                    maxiter=DEFAULT_ROOT_MAXIT):
+                    maxiter=DEFAULT_ROOT_MAXIT, ends=None):
     """Solve F(t) = y for strictly increasing vectorized F on [lo, hi].
 
     Each row starts at the regula-falsi point of the bracket,
@@ -49,13 +57,16 @@ def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
     start or step that is not finite or leaves the open bracket falls back
     to its midpoint. Raises ValueError if [F(lo), F(hi)] misses some y by
     more than tol, or if some |F(t) - y| is above tol after maxiter steps.
+    ends, when given, is (F(lo), F(hi)) per row, and F is not evaluated
+    there.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     m = y.shape[0]
     a = np.full(m, lo)
     b = np.full(m, hi)
-    fa = np.asarray(F(a), dtype=np.float64) - y
-    fb = np.asarray(F(b), dtype=np.float64) - y
+    Flo, Fhi = (F(a), F(b)) if ends is None else ends
+    fa = np.asarray(Flo, dtype=np.float64) - y
+    fb = np.asarray(Fhi, dtype=np.float64) - y
     if np.any(fa > tol) or np.any(fb < -tol):
         raise ValueError("target values do not bracket: monotonicity broken upstream")
     with np.errstate(all="ignore"):
@@ -93,20 +104,22 @@ def _inside(t, a, b):
 def _invert_cdf(C: np.ndarray, u, slope):
     """(t, F'(t)): t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF in row i of C.
 
-    C (m, n): Legendre coefficients of CDFs with F(-1) = 0 and F(1) = 1 up
-    to rounding; u is clipped into [0, 1]. slope(table) returns F' from the
-    (m, n) Legendre table at t. Each Newton step builds one table and reads
-    F and F' off it; only F' at the latest t is kept, so no table outlives
-    its step (holding it until the F' call raised the peak RSS of the d = 32
-    truncation study from 82 to 97 MB in a single-threaded run). The solve
-    returns after an F evaluation at its root, so the F' returned is the one
-    held from there, at no further evaluation.
+    C (m, n): Chebyshev coefficients of CDFs with F(-1) = 0 and F(1) = 1 up
+    to rounding; u is clipped into [0, 1]. The bracket ends are read off C
+    (T_n(1) = 1, T_n(-1) = (-1)^n), not evaluated. slope(table) returns F'
+    from the (m, n) Chebyshev table at t. Each Newton step builds one
+    table and reads F and F' off it; only F' at the latest t is kept, so
+    no table outlives its step (holding it until the F' call raised the
+    peak RSS of the d = 32 truncation study from 82 to 97 MB in a
+    single-threaded run). The solve returns after an F evaluation at its
+    root, so the F' returned is the one held from there, at no further
+    evaluation.
     """
     n = C.shape[1]
     held = [None, None]  # the latest t and F' there
 
     def F(t):
-        table = kernels.legendre_table(t, n - 1)
+        table = kernels.chebyshev_table(t, n - 1)
         held[:] = t, slope(table)
         return np.einsum("mn,mn->m", table, C)
 
@@ -115,8 +128,15 @@ def _invert_cdf(C: np.ndarray, u, slope):
             F(t)
         return held[1]
 
-    t = invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime)
+    ends = (C[:, 0::2].sum(axis=1) - C[:, 1::2].sum(axis=1), C.sum(axis=1))
+    t = invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime, ends=ends)
     return t, held[1]
+
+
+def _cdf_series(A: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (m, n+1) of the CDFs (1/2) int_{-1}^{t} of the
+    densities with orthonormal Legendre coefficients A (m, n)."""
+    return legendre_antiderivative(A) @ legendre_to_chebyshev(A.shape[1] + 1)
 
 
 def _check_points(x: np.ndarray, d: int):
@@ -218,15 +238,15 @@ class ExactTransport:
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
 
         prefix: (m, k-1); t: (m,). The exact antiderivative of the
-        normalised Legendre series of f_k(prefix, .), built once per
-        distinct prefix and evaluated at t.
+        normalised series of f_k(prefix, .), built once per distinct prefix
+        and evaluated at t.
         """
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         for group, first in _prefix_groups(prefix, prefix.shape[1]):
             pass  # the groups of the whole prefix are the last level
-        C = legendre_antiderivative(self._density_series(f, k, prefix[first]))
-        return legendre_series(C[group], t)
+        C = _cdf_series(self._density_series(f, k, prefix[first]))
+        return chebyshev_series(C[group], t)
 
     def forward(self, x):
         """T(x) for x of shape (m, d) or a single point."""
@@ -239,10 +259,11 @@ class ExactTransport:
     def _map(self, src: Density, dst: Density, x):
         x = np.asarray(x, dtype=np.float64)
         _check_points(x, self.reference.d)
-        y, _ = self._solve(src, dst, np.atleast_2d(x), x.shape[-1])
+        y, _ = self._solve(src, dst, np.atleast_2d(x), x.shape[-1], nderiv=0)
         return y[0] if x.ndim == 1 else y
 
-    def _solve(self, src: Density, dst: Density, x: np.ndarray, kmax: int):
+    def _solve(self, src: Density, dst: Density, x: np.ndarray, kmax: int,
+               *, nderiv: int | None = None):
         """Components 1..kmax of the KR map from src to dst at x (m, >=kmax).
 
         Per coordinate solves F_dst(y_[k-1], y_k) = F_src(x_[k-1], x_k)
@@ -253,15 +274,18 @@ class ExactTransport:
         the group order, so independent of the row order), and copied to
         the other rows of its group: the result depends only on the
         distinct rows of x, not on their order or repetition. Returns
-        y (m, kmax) and the diagonal of the Jacobian D (m, kmax), with
-        D[:, k-1] = d/dx_k y_k = f_src;k(x) / f_dst;k(y) read off the same
-        series; one table at x_k gives both F_src and f_src. This is the
-        only place the exact diagonal derivatives are computed. D is the
-        transpose of a (kmax, m) array, so that each column is contiguous.
+        y (m, kmax) and D (m, nderiv), the last nderiv entries of the
+        diagonal of the Jacobian (all kmax when nderiv is None): the column
+        of component k holds d/dx_k y_k = f_src;k(x) / f_dst;k(y), read off
+        the same series; one table at x_k gives both F_src and f_src. This
+        is the only place the exact diagonal derivatives are computed. D is
+        the transpose of a (nderiv, m) array, so that each column is
+        contiguous.
         """
         m = x.shape[0]
         y = np.empty((m, kmax))
-        D = np.empty((kmax, m))
+        k0 = 0 if nderiv is None else kmax - nderiv  # components without D
+        D = np.empty((kmax - k0, m))
         # group ids of rows by x_[k-1] (pre) and by x_[k] (group); sub maps
         # each x_[k] group to its x_[k-1] group
         levels = _prefix_groups(x, kmax)
@@ -270,28 +294,32 @@ class ExactTransport:
             sub = pre[first]
             xk = x[first, k - 1]
             A_src = self._density_series(src, k, x[pre_first, : k - 1])
-            table = kernels.legendre_table(xk, A_src.shape[1])
-            u = np.einsum("mn,mn->m", table, legendre_antiderivative(A_src)[sub])
-            a_src = np.einsum("mn,mn->m", table[:, :-1], A_src[sub])
+            n = A_src.shape[1]
+            table = kernels.chebyshev_table(xk, n)
+            u = np.einsum("mn,mn->m", table, _cdf_series(A_src)[sub])
+            if k > k0:
+                a_src = np.einsum("mn,mn->m", table[:, :-1],
+                                  (A_src @ legendre_to_chebyshev(n))[sub])
             del table, A_src  # not held through the root solve
             A = self._density_series(dst, k, y[pre_first, : k - 1])
-            C = legendre_antiderivative(A)[sub]
-            A = A[sub]
             n = A.shape[1]
+            C = _cdf_series(A)[sub]
+            A = (A @ legendre_to_chebyshev(n))[sub]
             root, _ = _invert_cdf(
-                C, u, lambda L: 0.5 * np.einsum("mn,mn->m", L[:, :n], A))
+                C, u, lambda T: 0.5 * np.einsum("mn,mn->m", T[:, :n], A))
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
             yk = np.where(np.abs(xk) == 1.0, xk, root)
             y[:, k - 1] = yk[group]
-            D[k - 1] = (a_src / legendre_series(A, yk))[group]
+            if k > k0:
+                D[k - 1 - k0] = (a_src / chebyshev_series(A, yk))[group]
             pre, pre_first = group, first
         return y, D.T
 
     def component(self, k: int, x):
         """T_k at points x of shape (m, k)."""
         x = _component_points(k, self.reference.d, x)
-        return self._solve(self.reference, self.target, x, k)[0][:, k - 1]
+        return self._solve(self.reference, self.target, x, k, nderiv=0)[0][:, k - 1]
 
     def diag_deriv(self, k: int, x):
         """d/dx_k T_k = f_{ref;k}(x_[k]) / f_{tar;k}(T(x)_[k]).
@@ -299,7 +327,7 @@ class ExactTransport:
         Both conditional densities are the series the solve builds.
         """
         x = _component_points(k, self.reference.d, x)
-        return self._solve(self.reference, self.target, x, k)[1][:, k - 1]
+        return self._solve(self.reference, self.target, x, k, nderiv=1)[1][:, 0]
 
     def _pullback(self, y):
         """(x, D): x = S(y) at points y (m, d), and D (m, d) the diagonal of

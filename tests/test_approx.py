@@ -221,6 +221,30 @@ def test_inverse_solve_count_on_2d_map(monkeypatch):
     assert np.allclose(tmap.forward(x), y, atol=1e-10)
 
 
+def test_density_batch_root_solve_count(monkeypatch):
+    # the bracket ends F(+-1) are read off the Chebyshev series in closed
+    # form, so a root of the benchmark's density batch costs at most 4 F
+    # evaluations (6 when the ends were evaluated)
+    tmap = _map_eval_2d()
+    solve = transport.invert_monotone
+    counts = {"F": 0, "roots": 0}
+
+    def counted(F, y, *args, **kwargs):
+        def F_counted(t):
+            counts["F"] += np.size(t)
+            return F(t)
+
+        counts["roots"] += np.size(y)
+        return solve(F_counted, y, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "invert_monotone", counted)
+    y = _rng(12).uniform(-1.0, 1.0, size=(100, 2))
+    q = transport.pushforward_density(tmap, uniform(2), y)
+    assert counts["roots"] == 200
+    assert counts["F"] / counts["roots"] <= 4.0
+    assert np.all(np.isfinite(q)) and np.all(q > 0)
+
+
 def test_density_batch_builds_each_series_once(monkeypatch):
     # the inverse solve hands back the diagonal derivatives, so a density
     # batch builds B once per component instead of again in diag_deriv

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from krtransport.cli import main
-from krtransport.density import linear_density
+from krtransport.density import linear_density, uniform
 from krtransport.indexsets import WeightVector, xi_from_anisotropy
-from krtransport.studies import truncation_study
+from krtransport.studies import convergence_study, truncation_study
 
 LINEAR2 = {"family": "linear", "c": [0.3, 0.2]}
 UNIFORM2 = {"family": "uniform", "d": 2}
@@ -296,8 +296,14 @@ NAN = float("nan")
      TRUNC, {"amplitude": 2.0}),
     (lambda: truncation_study(0.4, NAN, 3, [0.3]), ["study", "truncation"],
      TRUNC, {"s": NAN}),
+    (lambda: truncation_study(0.3, 2.0, 3, []), ["study", "truncation"],
+     TRUNC, {"amplitude": 0.3, "s": 2, "epsilon_list": []}),
+    (lambda: convergence_study(uniform(2), linear_density([0.3, 0.2]),
+                               WeightVector((2.0, 3.0)), []),
+     ["study", "convergence"], CONV2, {"epsilon_list": []}),
 ], ids=["linear_c_nan", "xi_nan", "anisotropy_nan", "amplitude_zero",
-        "amplitude_not_positive_density", "s_nan"])
+        "amplitude_not_positive_density", "s_nan",
+        "truncation_epsilon_list_empty", "convergence_epsilon_list_empty"])
 def test_invalid_value_is_api_and_config_error(tmp_path, capsys, api, command,
                                                base, spec):
     with pytest.raises(ValueError):
@@ -305,6 +311,26 @@ def test_invalid_value_is_api_and_config_error(tmp_path, capsys, api, command,
     cfg = _write(tmp_path, "v.json", {**base, **spec})
     assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command, base, name", [
+    (["study", "truncation"], TRUNC, "truncation.json"),
+    (["study", "convergence"], {**CONV2, "n_cloud": 16, "distance_grid_order": 6},
+     "convergence.json"),
+], ids=["truncation", "convergence"])
+def test_one_epsilon_study_writes_strict_json(tmp_path, command, base, name):
+    # one epsilon gives a degenerate rate fit, whose NaNs are written as null
+    cfg = _write(tmp_path, "j.json", base)
+    assert _run(["--config", cfg, "--out", tmp_path, *command]) == 0
+    data = json.loads((tmp_path / name).read_text(), parse_constant=_no_constant)
+    fit = data["fit"]
+    assert fit["status"] == "degenerate"
+    assert fit["slope"] is None and fit["intercept"] is None
+    assert fit["r_squared"] is None
 
 
 def test_negative_amplitude_is_a_valid_truncation_target(tmp_path):

@@ -1,7 +1,8 @@
-"""Legendre kernel: orthonormality and known values."""
+"""Legendre and Chebyshev kernels: orthonormality, known values, numpy parity."""
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 
 from krtransport import kernels
 
@@ -23,3 +24,13 @@ def test_legendre_table_known_values():
     assert np.allclose(tab[:, 0], 1.0)
     assert np.allclose(tab[:, 1], np.sqrt(3.0) * x)
     assert np.allclose(tab[:, 2], np.sqrt(5.0) * 0.5 * (3 * x**2 - 1))
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 7, 64, 256])
+def test_chebyshev_table_is_chebvander(nmax):
+    rng = np.random.Generator(np.random.Philox(nmax))
+    x = np.concatenate([[-1.0, 1.0, 0.0, -0.0, 0.5], rng.uniform(-1.0, 1.0, 200)])
+    tab = kernels.chebyshev_table(x, nmax)
+    assert tab.shape == (x.size, nmax + 1)
+    ref = chebvander(x, nmax)
+    assert np.array_equal(tab.view(np.int64), ref.view(np.int64))  # bitwise

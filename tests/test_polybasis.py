@@ -1,18 +1,23 @@
-"""Orthonormal Legendre basis, sparse polynomials, projection, antiderivative."""
+"""Orthonormal Legendre basis, sparse polynomials, projection, antiderivative,
+and the Legendre-to-Chebyshev conversion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev, Legendre
 
 from krtransport.indexsets import IndexSet
 from krtransport.kernels import legendre_table
 from krtransport.polybasis import (
     SparsePolynomial,
     canon,
+    chebyshev_series,
     grlex_key,
     legendre_antiderivative,
-    legendre_series,
+    legendre_to_chebyshev,
     max_degree_per_dim,
     padded,
     project,
@@ -20,6 +25,7 @@ from krtransport.polybasis import (
     zero_polynomial,
 )
 from krtransport.quadrature import gauss_legendre, uniform_grid
+from krtransport.transport import MAX_CDF_ORDER
 
 
 def _index_set(k, members):
@@ -99,6 +105,13 @@ def test_max_degree_per_dim():
     assert lam.max_degree_per_dim() == [3, 2]
 
 
+def _legendre_series(A, t):
+    """sum_n A[i, n] L_n(t_i) from the Legendre table; t (m,) or (m, s)."""
+    n1 = A.shape[1]
+    table = legendre_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
+    return np.einsum("m...n,mn->m...", table, A)
+
+
 def _random_series(seed, m=6, n=9):
     rng = np.random.Generator(np.random.Philox(seed))
     return rng, rng.normal(size=(m, n))
@@ -110,23 +123,23 @@ def test_antiderivative_exactness():
     rng, A = _random_series(2)
     C = legendre_antiderivative(A)
     assert C.shape == (6, 10)
-    assert np.allclose(legendre_series(C, np.full(6, -1.0)), 0.0, atol=1e-14)
+    assert np.allclose(_legendre_series(C, np.full(6, -1.0)), 0.0, atol=1e-14)
     t = rng.uniform(-0.9, 0.9, size=6)
     h = 1e-5
-    deriv = (legendre_series(C, t + h) - legendre_series(C, t - h)) / (2 * h)
-    assert np.allclose(deriv, 0.5 * legendre_series(A, t), atol=1e-8)
+    deriv = (_legendre_series(C, t + h) - _legendre_series(C, t - h)) / (2 * h)
+    assert np.allclose(deriv, 0.5 * _legendre_series(A, t), atol=1e-8)
 
 
 def test_antiderivative_quadrature_consistency():
     # F(1) = A_0, and F(t) matches a Gauss rule mapped onto [-1, t]
     rng, A = _random_series(3)
     C = legendre_antiderivative(A)
-    assert np.allclose(legendre_series(C, np.ones(6)), A[:, 0], atol=1e-13)
+    assert np.allclose(_legendre_series(C, np.ones(6)), A[:, 0], atol=1e-13)
     t = rng.uniform(-1.0, 1.0, size=6)
     rule = gauss_legendre(8)
     s = -1.0 + np.outer(0.5 * (t + 1.0), rule.nodes + 1.0)
-    ref = 0.5 * (t + 1.0) * (legendre_series(A, s) @ rule.weights)
-    assert np.allclose(legendre_series(C, t), ref, atol=1e-13)
+    ref = 0.5 * (t + 1.0) * (_legendre_series(A, s) @ rule.weights)
+    assert np.allclose(_legendre_series(C, t), ref, atol=1e-13)
 
 
 def test_json_round_trip():
@@ -147,3 +160,35 @@ def test_dimension_guard():
     p = SparsePolynomial(2, {(1,): 1.0})
     with pytest.raises(ValueError):
         p.eval(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 65, MAX_CDF_ORDER + 1])
+def test_legendre_to_chebyshev_matches_numpy_convert(n):
+    P = legendre_to_chebyshev(n)
+    assert P.shape == (n, n) and not P.flags.writeable
+    assert legendre_to_chebyshev(n) is P  # cached
+    assert np.max(np.abs(P)) <= math.sqrt(3.0) + 1e-15
+    # numpy's conversion of row i costs O(i^3): every row up to degree 64,
+    # and the two top degrees, where the rounding is largest
+    for i in sorted(set(range(min(n, 65))) | {n - 2, n - 1} - {-1}):
+        row = np.zeros(n)
+        coef = Legendre.basis(i).convert(kind=Chebyshev).coef
+        row[: coef.size] = coef * math.sqrt(2 * i + 1)
+        assert np.max(np.abs(P[i] - row)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    n=st.integers(1, MAX_CDF_ORDER + 1),
+)
+def test_chebyshev_series_of_converted_coefficients(seed, m, n):
+    # A @ P evaluated in the Chebyshev basis is the Legendre series A
+    rng = np.random.Generator(np.random.Philox(seed))
+    A = rng.normal(size=(m, n)) * rng.uniform(0.0, 1.0, size=(m, 1)) ** 4
+    t = rng.uniform(-1.0, 1.0, size=m)
+    t[: m // 2] = rng.choice([-1.0, 1.0], size=m // 2)
+    got = chebyshev_series(A @ legendre_to_chebyshev(n), t)
+    expect = _legendre_series(A, t)
+    assert np.all(np.abs(got - expect) <= 1e-13 * np.sum(np.abs(A), axis=1))

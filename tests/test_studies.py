@@ -83,9 +83,9 @@ def test_component_sup_errors_solves_once_per_k(monkeypatch):
     solve = ExactTransport._solve
     calls = []
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls.append(args[-1])
-        return solve(self, *args)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(ExactTransport, "_solve", counted)
     for k in (1, 2):
@@ -185,10 +185,10 @@ def test_truncation_study_solves_reference_once(monkeypatch):
     calls = []
     fitting = [False]
 
-    def counted(self, src, dst, x, kmax):
+    def counted(self, src, dst, x, kmax, **kwargs):
         if not fitting[0]:
             calls.append((x.shape, kmax))
-        return solve(self, src, dst, x, kmax)
+        return solve(self, src, dst, x, kmax, **kwargs)
 
     def uncounted_build(*args, **kwargs):
         # the fit solves on its projection grids; only the study's own

@@ -66,6 +66,44 @@ def test_invert_monotone_bracket_guard():
         invert_monotone(lambda t: t, np.array([5.0]))
 
 
+def test_invert_monotone_given_ends_are_not_evaluated():
+    calls = []
+
+    def F(t):
+        calls.append(t)
+        return 2.0 * t + 0.5
+
+    y = np.array([-1.2, 0.0, 0.7, 2.4])
+    ends = (np.full(4, -1.5), np.full(4, 2.5))
+    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 2.0), ends=ends)
+    assert len(calls) == 1  # the regula-falsi start only
+    assert np.allclose(F(t), y, rtol=0, atol=1e-12)
+
+
+def test_invert_monotone_bracket_guard_on_given_ends():
+    # ends that miss y raise before any evaluation of F
+    def F(t):
+        raise AssertionError("F evaluated")
+
+    with pytest.raises(ValueError, match="do not bracket"):
+        invert_monotone(F, np.array([0.5, 0.2]),
+                        ends=(np.array([0.0, 0.3]), np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="do not bracket"):
+        invert_monotone(F, np.array([0.9]), ends=(np.zeros(1), np.full(1, 0.5)))
+
+
+def test_cdf_solve_reads_bracket_ends_off_the_series():
+    # Chebyshev coefficients of F(t) = (1 + t) / 4: F(-1) = 0 is the
+    # alternating row sum and F(1) = 1/2 the row sum, which misses u = 0.9
+    C = np.array([[0.25, 0.25], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="do not bracket"):
+        transport._invert_cdf(C, np.array([0.9, 0.9]),
+                              lambda T: np.full(T.shape[0], 0.25))
+    t, _ = transport._invert_cdf(C[1:], np.array([0.75]),
+                                 lambda T: np.full(T.shape[0], 0.5))
+    assert t == pytest.approx([0.5], abs=1e-14)
+
+
 def test_invert_monotone_unconverged_is_loud():
     # sign jumps over 0.5 at t = 0: bisection shrinks onto 0 but the
     # residual stays 0.5, which must be reported, not returned
