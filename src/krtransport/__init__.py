@@ -9,7 +9,6 @@ from .approx import (
 )
 from .density import (
     Density,
-    conditional,
     density_from_config,
     gaussian_posterior,
     linear_density,
@@ -42,11 +41,7 @@ from .studies import (
     rng_from_seed,
     truncation_study,
 )
-from .transport import (
-    ExactTransport,
-    invert_monotone,
-    pushforward_density,
-)
+from .transport import ExactTransport, pushforward_density
 
 __version__ = "0.1.0"
 
@@ -65,7 +60,6 @@ __all__ = [
     "build_approx_transport",
     "cardinality_bound_sharp",
     "cardinality_bound_simple",
-    "conditional",
     "convergence_study",
     "density_from_config",
     "det_product_bound",
@@ -77,7 +71,6 @@ __all__ = [
     "gauss_legendre",
     "gaussian_posterior",
     "integrate",
-    "invert_monotone",
     "linear_density",
     "marginal_hat",
     "posterior_demo",

@@ -252,6 +252,11 @@ class ApproxTransport:
     epsilon: float | None = None
     xi: tuple | None = None
 
+    def __post_init__(self):
+        ks = [c.k for c in self.components]
+        if ks != list(range(1, len(ks) + 1)):
+            raise ValueError(f"components must be for k = 1..d in order, got k = {ks}")
+
     @property
     def d(self) -> int:
         return len(self.components)

@@ -142,20 +142,21 @@ def _weights(spec, target: Density) -> WeightVector:
         alpha = sub.take("alpha", 1.0)
         b = sub.take("anisotropy", None)
         sub.finish()
+        b = target.anisotropy if b is None else b
         if b is None:
-            if target.anisotropy is None:
-                raise ConfigError(
-                    "xi.anisotropy omitted and target density has none"
-                )
-            b = target.anisotropy
+            raise ConfigError("xi.anisotropy omitted and target density has none")
     elif not isinstance(spec, list):
         raise ConfigError("xi must be a list of weights or an object")
     try:
         if isinstance(spec, list):
-            return WeightVector(tuple(float(x) for x in spec))
-        return xi_from_anisotropy(b, float(alpha))
+            xi = WeightVector(tuple(float(x) for x in spec))
+        else:
+            xi = xi_from_anisotropy(b, float(alpha))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad xi spec: {e}") from e
+    if len(xi) < target.d:
+        raise ConfigError(f"xi has {len(xi)} entries, the target needs {target.d}")
+    return xi
 
 
 def _read_points(cfg: _Config, d: int) -> np.ndarray:
@@ -403,10 +404,16 @@ def _cmd_study_posterior(cfg: _Config, out_dir: Path, seed):
     return 0
 
 
-_STUDIES = {
-    "convergence": _cmd_study_convergence,
-    "truncation": _cmd_study_truncation,
-    "posterior": _cmd_study_posterior,
+# {command: {action: handler}}; the action None marks a command that
+# takes no action word
+_COMMANDS = {
+    "transport": {"eval": _cmd_transport_eval},
+    "approx": {"build": _cmd_approx_build},
+    "distance": {None: _cmd_distance},
+    "sample": {None: _cmd_sample},
+    "study": {"convergence": _cmd_study_convergence,
+              "truncation": _cmd_study_truncation,
+              "posterior": _cmd_study_posterior},
 }
 
 
@@ -431,14 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_seed, default=None,
                         help="override the config seed (an integer >= 0)")
     sub = parser.add_subparsers(dest="command", required=True)
-    t = sub.add_parser("transport")
-    t.add_argument("action", choices=["eval"])
-    a = sub.add_parser("approx")
-    a.add_argument("action", choices=["build"])
-    sub.add_parser("distance")
-    sub.add_parser("sample")
-    st = sub.add_parser("study")
-    st.add_argument("action", choices=sorted(_STUDIES))
+    for command, actions in _COMMANDS.items():
+        p = sub.add_parser(command)
+        if None not in actions:
+            p.add_argument("action", choices=sorted(actions))
     return parser
 
 
@@ -448,17 +451,8 @@ def main(argv=None) -> int:
         cfg = _Config(_load_config(args.config))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "transport":
-            return _cmd_transport_eval(cfg, out_dir, args.seed)
-        if args.command == "approx":
-            return _cmd_approx_build(cfg, out_dir, args.seed)
-        if args.command == "distance":
-            return _cmd_distance(cfg, out_dir, args.seed)
-        if args.command == "sample":
-            return _cmd_sample(cfg, out_dir, args.seed)
-        if args.command == "study":
-            return _STUDIES[args.action](cfg, out_dir, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler = _COMMANDS[args.command][getattr(args, "action", None)]
+        return handler(cfg, out_dir, args.seed)
     except ConfigError as e:
         sys.stderr.write(_error_json("config", str(e)))
         return 2

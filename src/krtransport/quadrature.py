@@ -6,13 +6,18 @@ computed by Newton iteration on the Legendre three-term recurrence with
 cosine initial guesses.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
+# size * d of the largest grid points_weights builds (512 MiB of float64).
+# Default grids up to the 24^5 marginal rule at d = 5 (4.0e7) and the 60^4
+# oversampled TV grid of a d = 4 distance (5.2e7) fit; a d = 8 distance
+# grid (15^8, 2.1e10) or a d = 5 oversampled one (60^5, 3.9e9) fails.
+MAX_GRID_COORDINATES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class TensorGrid:
     """Tensor product of per-dimension rules; product weights sum to 1."""
 
     rules: tuple[QuadratureRule1D, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -84,20 +88,30 @@ class TensorGrid:
         return out
 
     def points_weights(self):
-        """Full grid as (size, d) points and (size,) weights. Cached."""
-        if "pw" not in self._cache:
-            axes = [r.nodes for r in self.rules]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            w = self.rules[0].weights
-            for r in self.rules[1:]:
-                w = np.multiply.outer(w, r.weights)
-            self._cache["pw"] = (pts, np.asarray(w).ravel())
-        return self._cache["pw"]
+        """Full grid as (size, d) points and (size,) weights, built once.
+
+        Raises ValueError, before allocating, when size * d exceeds
+        MAX_GRID_COORDINATES.
+        """
+        return self._points_weights
+
+    @cached_property
+    def _points_weights(self):
+        if self.size * self.d > MAX_GRID_COORDINATES:
+            orders = " x ".join(str(r.n) for r in self.rules)
+            raise ValueError(
+                f"tensor grid of {orders} = {self.size} nodes exceeds "
+                f"MAX_GRID_COORDINATES = {MAX_GRID_COORDINATES} coordinates")
+        mesh = np.meshgrid(*(r.nodes for r in self.rules), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        w = self.rules[0].weights
+        for r in self.rules[1:]:
+            w = np.multiply.outer(w, r.weights)
+        return pts, np.asarray(w).ravel()
 
 
 def tensor_grid(orders) -> TensorGrid:
-    """Grid from an int (isotropic needs a length too) or per-dim order list."""
+    """Grid from a sequence of per-dimension rule orders."""
     return TensorGrid(tuple(gauss_legendre(int(n)) for n in orders))
 
 

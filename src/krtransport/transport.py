@@ -9,10 +9,11 @@ projected onto the Legendre basis on a Gauss rule (which also decides its
 length) and divided by its own mass A_0, so that the CDF (its exact
 antiderivative) reaches 1 at t = 1 up to rounding; both are then converted
 to Chebyshev coefficients, the basis every series in t is evaluated in.
-The bracketed bisection-Newton root solve works on that series alone, once
-per distinct x_<=k (rows that share it share the root). It starts each
-root at the regula-falsi point of the bracket [-1, 1], where the CDF
-series gives F(-1) and F(1) in closed form, since T_n(+-1) = (+-1)^n.
+The bracketed bisection-Newton root solve (``_invert_cdf``, through
+``invert_monotone``; neither is a package export) works on that series
+alone, once per distinct x_<=k (rows that share it share the root). It
+starts each root at the regula-falsi point of the bracket [-1, 1], where
+the CDF series gives F(-1) and F(1) in closed form, T_n(+-1) = (+-1)^n.
 A solve also returns the diagonal of its Jacobian, the ratio of the two
 density series at each k, for the components its caller reads, so one
 inverse solve gives both the preimage and the determinant
@@ -46,48 +47,38 @@ DEFAULT_ROOT_MAXIT = 200
 _NODE_BLOCK = 1 << 19
 
 
-def invert_monotone(F, y, lo=-1.0, hi=1.0, fprime=None, tol=DEFAULT_ROOT_TOL,
-                    maxiter=DEFAULT_ROOT_MAXIT, ends=None):
-    """Solve F(t) = y for strictly increasing vectorized F on [lo, hi].
+def invert_monotone(F, y, *, fprime, ends):
+    """Solve F(t) = y (m,) for strictly increasing vectorized F on [-1, 1].
 
-    Each row starts at the regula-falsi point of the bracket,
-    lo - fa (hi - lo) / (fb - fa) with fa = F(lo) - y and fb = F(hi) - y, so
-    a linear F is solved at its first evaluation. Then Newton steps (when
-    fprime is given) safeguarded by bisection on a maintained bracket. A
-    start or step that is not finite or leaves the open bracket falls back
-    to its midpoint. Raises ValueError if [F(lo), F(hi)] misses some y by
-    more than tol, or if some |F(t) - y| is above tol after maxiter steps.
-    ends, when given, is (F(lo), F(hi)) per row, and F is not evaluated
-    there.
+    ends is (F(-1), F(1)) per row; F is not evaluated there. Each row starts
+    at the regula-falsi point of the bracket, so a linear F is solved at its
+    first evaluation, then takes Newton steps with the slope fprime(t),
+    safeguarded by bisection on a maintained bracket: a start or step that
+    is not finite or leaves the open bracket falls back to its midpoint.
+    Raises ValueError if [F(-1), F(1)] misses some y by more than
+    DEFAULT_ROOT_TOL, or if some |F(t) - y| is above it after
+    DEFAULT_ROOT_MAXIT steps. ``_invert_cdf`` is its one caller.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    tol, maxiter = DEFAULT_ROOT_TOL, DEFAULT_ROOT_MAXIT
     m = y.shape[0]
-    a = np.full(m, lo)
-    b = np.full(m, hi)
-    Flo, Fhi = (F(a), F(b)) if ends is None else ends
-    fa = np.asarray(Flo, dtype=np.float64) - y
-    fb = np.asarray(Fhi, dtype=np.float64) - y
+    a, b = np.full(m, -1.0), np.full(m, 1.0)
+    fa, fb = ends[0] - y, ends[1] - y
     if np.any(fa > tol) or np.any(fb < -tol):
         raise ValueError("target values do not bracket: monotonicity broken upstream")
     with np.errstate(all="ignore"):
         t = _inside(a - fa * (b - a) / (fb - fa), a, b)
     for it in range(maxiter + 1):
-        ft = np.asarray(F(t), dtype=np.float64) - y
+        ft = F(t) - y
         done = np.abs(ft) <= tol
         if np.all(done):
-            return np.clip(t, lo, hi)
+            return np.clip(t, -1.0, 1.0)
         if it == maxiter:
             break
         neg = ft < 0
         a = np.where(neg, t, a)
         b = np.where(neg, b, t)
-        if fprime is not None:
-            dft = np.asarray(fprime(t), dtype=np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tn = _inside(t - ft / dft, a, b)
-        else:
-            tn = 0.5 * (a + b)
-        t = np.where(done, t, tn)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(done, t, _inside(t - ft / fprime(t), a, b))
     resid = np.abs(ft[~done])
     raise ValueError(
         f"{resid.size} of {m} roots unconverged after {maxiter} steps: "

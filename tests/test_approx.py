@@ -198,9 +198,9 @@ def _map_eval_2d():
 
 
 def test_inverse_solve_count_on_2d_map(monkeypatch):
-    # the benchmark's 2d map: a regula-falsi start plus Newton takes about
-    # 6 F evaluations per root here, the two bracket ends included
-    # (a midpoint start takes 9.4)
+    # the benchmark's 2d map: a regula-falsi start plus Newton takes 4 F
+    # evaluations per root here, as the bracket ends are given (6 when
+    # they were evaluated; a midpoint start took 9.4)
     tmap = _map_eval_2d()
     solve = transport.invert_monotone
     counts = {"F": 0, "roots": 0}
@@ -321,6 +321,15 @@ def test_json_round_trip_bitwise():
     pts = _rng(14).uniform(-1, 1, size=(40, 2))
     assert np.array_equal(approx.forward(pts), back.forward(pts))
     assert back.epsilon == approx.epsilon and back.xi == approx.xi
+
+
+def test_components_out_of_order_are_rejected():
+    _, _, _, approx = _setup(eps=1e-3)
+    with pytest.raises(ValueError, match="k = 1..d in order"):
+        ApproxTransport(components=approx.components[::-1])
+    blob = approx.to_json()
+    with pytest.raises(ValueError, match="k = 1..d in order"):
+        ApproxTransport.from_json({**blob, "components": blob["components"][1:]})
 
 
 def test_n_eps_counts_index_sets():

@@ -265,13 +265,15 @@ POSTERIOR2 = {"A": [[1.0, 0.5]], "varsigma": [0.3], "sigma": 0.8,
     (["study", "posterior"], POSTERIOR2, {"A": [[1.0, 0.5, 0.2, 0.1, 0.1]]}),
     (["study", "posterior"], POSTERIOR2, {"A": [[1.0, 0.0]]}),
     (["study", "posterior"], POSTERIOR2, {"n_samples": 1}),
+    (["approx", "build"], BUILD2, {"xi": [2.0]}),
+    (["approx", "build"], BUILD2, {"xi": {"anisotropy": [0.3]}}),
 ], ids=["epsilon_above_one", "epsilon_zero", "n_samples_negative",
         "n_samples_fractional", "n_samples_boolean", "seed_negative", "d_max_zero", "n_cloud_zero",
         "alpha_negative", "epsilon_list_above_one", "distance_grid_order_zero",
         "grid_order_negative", "inverse_string", "timing_string",
         "posterior_varsigma_length", "posterior_sigma_zero",
         "posterior_A_not_numeric", "posterior_d5", "posterior_zero_column",
-        "posterior_one_sample"])
+        "posterior_one_sample", "xi_too_short", "xi_anisotropy_too_short"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, base, spec):
     cfg = _write(tmp_path, "r.json", {**base, **spec})
     assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2
@@ -378,6 +380,41 @@ def test_bad_map_file_is_config_error(tmp_path, capsys, command, content):
     assert _run(["--config", cfg, "--out", tmp_path, *command]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config" and "map" in err["error"]
+
+
+@pytest.mark.parametrize("command", [["transport", "eval"], ["distance"]],
+                         ids=["transport_eval", "distance"])
+def test_map_file_components_out_of_order_is_config_error(tmp_path, capsys,
+                                                          command):
+    assert _run(["--config", _write(tmp_path, "b.json", BUILD2), "--out",
+                 tmp_path, "approx", "build"]) == 0
+    map_file = tmp_path / "approx_transport.json"
+    tmap = json.loads(map_file.read_text())
+    tmap["components"].reverse()
+    map_file.write_text(json.dumps(tmap))
+    cfg = _write(tmp_path, "m.json", {
+        "reference": UNIFORM2, "target": LINEAR2, "map_file": str(map_file),
+        **({"mode": "approx", "points": [[0.1, 0.2]]}
+           if command[0] == "transport" else {}),
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, *command]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "in order" in err["error"]
+
+
+@pytest.mark.parametrize("d, grid", [(8, "15 x 15"), (5, "60 x 60")],
+                         ids=["d8_grid", "d5_oversampled_grid"])
+def test_distance_grid_too_large_is_numerical_error(tmp_path, capsys, d, grid):
+    # the grid is refused before it is allocated: 15^8 nodes, or the
+    # oversampled TV grid 60^5 after the 15^5 grid of the distances
+    cfg = _write(tmp_path, "g.json", {
+        "f": {"family": "linear", "c": [0.1] * d},
+        "g": {"family": "uniform", "d": d},
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, "distance"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert grid in err["error"] and "MAX_GRID_COORDINATES" in err["error"]
 
 
 UNIFORM3 = {"family": "uniform", "d": 3}

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from krtransport.quadrature import (
+    MAX_GRID_COORDINATES,
     gauss_legendre,
     integrate,
     tensor_grid,
@@ -63,3 +64,17 @@ def test_integrate_rejects_nonfinite():
 def test_rule_order_validation():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+def test_tensor_grid_built_once():
+    g = tensor_grid([3, 4])
+    assert g.points_weights() is g.points_weights()
+
+
+@pytest.mark.parametrize("orders, nodes", [([15] * 8, 15**8), ([60] * 5, 60**5)],
+                         ids=["d8", "d5_oversampled"])
+def test_tensor_grid_too_large_fails_before_allocation(orders, nodes):
+    g = tensor_grid(orders)
+    assert g.size * g.d > MAX_GRID_COORDINATES
+    with pytest.raises(ValueError, match=f"= {nodes} nodes exceeds"):
+        g.points_weights()

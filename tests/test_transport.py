@@ -30,7 +30,7 @@ def _rng(seed=0):
 
 
 def test_invert_monotone_cubic():
-    y = np.linspace(-0.9, 0.9, 13)
+    y = np.linspace(-1.1, 1.1, 13)
 
     def F(t):
         return t + 0.2 * t**3
@@ -38,13 +38,25 @@ def test_invert_monotone_cubic():
     def dF(t):
         return 1 + 0.6 * t**2
 
-    t = invert_monotone(F, y, lo=-1.5, hi=1.5, fprime=dF)
+    ends = (np.full(13, -1.2), np.full(13, 1.2))
+    t = invert_monotone(F, y, fprime=dF, ends=ends)
     assert np.allclose(F(t), y, atol=1e-11)
 
 
-def test_invert_monotone_without_derivative():
-    t = invert_monotone(np.tanh, np.tanh(np.array([0.3, -0.7])), lo=-2, hi=2)
+def test_invert_monotone_midpoint_when_newton_leaves_bracket():
+    # a slope of 1e-30 sends every Newton step out of the bracket, so each
+    # step falls back to the midpoint and the solve is a bisection
+    calls = []
+
+    def F(t):
+        calls.append(t)
+        return np.tanh(2.0 * t)
+
+    y = np.tanh(np.array([0.6, -1.4]))
+    ends = (np.full(2, np.tanh(-2.0)), np.full(2, np.tanh(2.0)))
+    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 1e-30), ends=ends)
     assert np.allclose(t, [0.3, -0.7], atol=1e-10)
+    assert len(calls) > 30  # about one bit of t per evaluation
 
 
 def test_invert_monotone_linear_solved_at_first_evaluation():
@@ -56,27 +68,22 @@ def test_invert_monotone_linear_solved_at_first_evaluation():
         return 2.0 * t + 0.5
 
     y = np.array([-1.2, 0.0, 0.7, 2.4])
-    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 2.0))
-    assert len(calls) == 3  # F(lo), F(hi) and the start
+    ends = (np.full(4, -1.5), np.full(4, 2.5))
+    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 2.0), ends=ends)
+    assert len(calls) == 1  # the start only
     assert np.allclose(F(t), y, rtol=0, atol=1e-12)
 
 
-def test_invert_monotone_bracket_guard():
-    with pytest.raises(ValueError):
-        invert_monotone(lambda t: t, np.array([5.0]))
-
-
 def test_invert_monotone_given_ends_are_not_evaluated():
-    calls = []
-
+    # roots inside the bracket never evaluate F at t = +-1, whose values
+    # the solver takes from ends
     def F(t):
-        calls.append(t)
-        return 2.0 * t + 0.5
+        assert np.all(np.abs(t) < 1.0), "F evaluated at a bracket end"
+        return t + 0.2 * t**3
 
-    y = np.array([-1.2, 0.0, 0.7, 2.4])
-    ends = (np.full(4, -1.5), np.full(4, 2.5))
-    t = invert_monotone(F, y, fprime=lambda t: np.full_like(t, 2.0), ends=ends)
-    assert len(calls) == 1  # the regula-falsi start only
+    y = np.array([-1.1, -0.3, 0.0, 0.5, 1.15])
+    ends = (np.full(5, -1.2), np.full(5, 1.2))
+    t = invert_monotone(F, y, fprime=lambda t: 1 + 0.6 * t**2, ends=ends)
     assert np.allclose(F(t), y, rtol=0, atol=1e-12)
 
 
@@ -86,10 +93,11 @@ def test_invert_monotone_bracket_guard_on_given_ends():
         raise AssertionError("F evaluated")
 
     with pytest.raises(ValueError, match="do not bracket"):
-        invert_monotone(F, np.array([0.5, 0.2]),
+        invert_monotone(F, np.array([0.5, 0.2]), fprime=F,
                         ends=(np.array([0.0, 0.3]), np.array([1.0, 1.0])))
     with pytest.raises(ValueError, match="do not bracket"):
-        invert_monotone(F, np.array([0.9]), ends=(np.zeros(1), np.full(1, 0.5)))
+        invert_monotone(F, np.array([0.9]), fprime=F,
+                        ends=(np.zeros(1), np.full(1, 0.5)))
 
 
 def test_cdf_solve_reads_bracket_ends_off_the_series():
@@ -105,10 +113,12 @@ def test_cdf_solve_reads_bracket_ends_off_the_series():
 
 
 def test_invert_monotone_unconverged_is_loud():
-    # sign jumps over 0.5 at t = 0: bisection shrinks onto 0 but the
-    # residual stays 0.5, which must be reported, not returned
+    # sign jumps over 0.5 at t = 0: a zero slope leaves every step to
+    # bisection, which shrinks onto 0 but the residual stays 0.5, which
+    # must be reported, not returned
     with pytest.raises(ValueError, match=r"1 of 1 roots unconverged.*5\.000e-01"):
-        invert_monotone(np.sign, [0.5])
+        invert_monotone(np.sign, np.array([0.5]), fprime=np.zeros_like,
+                        ends=(np.full(1, -1.0), np.ones(1)))
 
 
 def test_identity_transport():
