@@ -8,6 +8,7 @@ practical dimension at 5.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,11 +128,25 @@ def gaussian_posterior(A, varsigma, sigma: float) -> Density:
     )
 
 
+@lru_cache(maxsize=None)
+def _trailing_rule(dim: int):
+    """(points, weights), read-only: the DEFAULT_MARGINAL_ORDER-point tensor
+    rule on dim trailing coordinates, built once per dim.
+
+    ``uniform_grid`` itself stays uncached, so grids built for one use
+    (the normalisation of ``gaussian_posterior``) are not kept.
+    """
+    pts, w = uniform_grid(DEFAULT_MARGINAL_ORDER, dim).points_weights()
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return pts, w
+
+
 def marginal_hat(f: Density, k: int, x):
     """hat f_k(x) = integral of f over the trailing d-k coordinates (mu).
 
     x has shape (m, k); uses the closed-form oracle when available and a
-    DEFAULT_MARGINAL_ORDER-point tensor rule otherwise.
+    DEFAULT_MARGINAL_ORDER-point tensor rule otherwise (``_trailing_rule``).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not (0 <= k <= f.d):
@@ -142,7 +157,7 @@ def marginal_hat(f: Density, k: int, x):
         return np.asarray(f.marginal_oracle(k, x), dtype=np.float64)
     if k == f.d:
         return f.evaluate(x)
-    pts, w = uniform_grid(DEFAULT_MARGINAL_ORDER, f.d - k).points_weights()
+    pts, w = _trailing_rule(f.d - k)
     m, nt = x.shape[0], pts.shape[0]
     out = np.empty(m)
     # block over query points so the (m*nt, d) scratch stays bounded

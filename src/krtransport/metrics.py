@@ -3,7 +3,8 @@
 All integrals run over a shared tensor quadrature grid. |f - g| and
 (sqrt f - sqrt g)^2 are continuous but kinked where the densities cross,
 so total variation also offers an oversampled evaluation (4x nodes per
-dimension) to quantify the quadrature bias.
+dimension, where that grid fits under MAX_GRID_COORDINATES) to quantify
+the quadrature bias.
 """
 
 import math
@@ -13,7 +14,12 @@ import numpy as np
 
 from . import kernels
 from .polybasis import legendre_antiderivative
-from .quadrature import TensorGrid, gauss_legendre, tensor_grid
+from .quadrature import (
+    MAX_GRID_COORDINATES,
+    TensorGrid,
+    gauss_legendre,
+    tensor_grid,
+)
 from .transport import pushforward_density
 
 W1_CDF_ORDER = 64
@@ -89,14 +95,16 @@ def distance_report(f, g, d: int, grid: TensorGrid,
     the support of f). The d = 1 Wasserstein distance is exact and
     evaluates both densities on its own nodes; for d > 1 it is the
     diam([-1,1]^d) * TV = 2 sqrt(d) * TV bound. oversample_tv adds TV on
-    a grid with 4x nodes per dimension.
+    a grid with 4x nodes per dimension when its size * d is at most
+    MAX_GRID_COORDINATES, and reports None otherwise (60^5 at d = 5).
     """
     fv, gv, w = _grid_values(f, g, grid)
     tv = _total_variation(fv, gv, w)
     tv_fine = None
     if oversample_tv:
         fine = tensor_grid([4 * r.n for r in grid.rules])
-        tv_fine = _total_variation(*_grid_values(f, g, fine))
+        if fine.size * fine.d <= MAX_GRID_COORDINATES:
+            tv_fine = _total_variation(*_grid_values(f, g, fine))
     if d == 1:
         w1, exact = _wasserstein1_1d(f, g), True
     else:

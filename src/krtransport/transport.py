@@ -4,11 +4,13 @@ Component k maps x_k through the reference conditional CDF and back
 through the inverse of the target conditional CDF, with the prefix fed
 through the earlier components. The conditional density f_k(prefix, .)
 becomes one series per distinct prefix: rows of a batch with bitwise-equal
-x_<k share one series in t of the marginal hat f_k(prefix, .). It is
-projected onto the Legendre basis on a Gauss rule (which also decides its
-length) and divided by its own mass A_0, so that the CDF (its exact
-antiderivative) reaches 1 at t = 1 up to rounding; both are then converted
-to Chebyshev coefficients, the basis every series in t is evaluated in.
+x_<k share one series in t of the marginal hat f_k(prefix, .). It is the
+Chebyshev interpolant of hat f_k on nested Chebyshev-Lobatto points, 9 to
+start with and 2n - 1 at each refinement, which reuses every value of the
+last one; the tail of its coefficients decides its length. Each series is
+divided by its own mass, so that the CDF (its exact Chebyshev
+antiderivative) reaches 1 at t = 1 up to rounding; Chebyshev is the basis
+every series in t is evaluated in.
 The bracketed bisection-Newton root solve (``_invert_cdf``, through
 ``invert_monotone``; neither is a package export) works on that series
 alone, once per distinct x_<=k (rows that share it share the root). It
@@ -25,20 +27,18 @@ indices outside 1..d.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .density import Density, marginal_hat
-from .polybasis import (
-    chebyshev_series,
-    legendre_antiderivative,
-    legendre_to_chebyshev,
-)
-from .quadrature import gauss_legendre
+from .polybasis import chebyshev_series
 
-DEFAULT_CDF_ORDER = 32
-MAX_CDF_ORDER = 256
+# Chebyshev-Lobatto points of the first and the largest conditional series;
+# each refinement goes from n to 2n - 1 points, 9, 17, 33, ..., 257
+DEFAULT_CDF_ORDER = 9
+MAX_CDF_ORDER = 257
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_ROOT_MAXIT = 200
 # entries of the node array filled per marginal_hat call: one (m, n, k)
@@ -124,10 +124,63 @@ def _invert_cdf(C: np.ndarray, u, slope):
     return t, held[1]
 
 
-def _cdf_series(A: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _lobatto_rule(n: int):
+    """(x, M), read-only: the n Chebyshev-Lobatto points x_j = cos(pi j / N),
+    N = n - 1, and the (n, n) matrix M with v @ M the Chebyshev coefficients
+    of the degree-N interpolant of the values v (..., n) at x.
+
+    x_j is computed as sin(pi (N - 2j) / (2N)), so the points are exactly
+    antisymmetric and those of the (2n - 1)-point rule at even j are
+    bitwise those of the n-point rule. M[j, l] = (2 / N) w_j w_l
+    cos(pi j l / N) with w = 1/2 at the ends and 1 elsewhere; j l is
+    reduced mod 2N in integers before the angle is formed, so every entry
+    is accurate to a few ulps at any n.
+    """
+    N = n - 1
+    j = np.arange(n)
+    x = np.sin(np.pi * (N - 2 * j) / (2 * N))
+    M = np.cos(np.pi * (np.outer(j, j) % (2 * N)) / N) * (2.0 / N)
+    M[[0, -1]] *= 0.5
+    M[:, [0, -1]] *= 0.5
+    x.setflags(write=False)
+    M.setflags(write=False)
+    return x, M
+
+
+def _cdf_series(B: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients (m, n+1) of the CDFs (1/2) int_{-1}^{t} of the
-    densities with orthonormal Legendre coefficients A (m, n)."""
-    return legendre_antiderivative(A) @ legendre_to_chebyshev(A.shape[1] + 1)
+    densities with Chebyshev coefficients B (m, n).
+
+    Exact, from int T_0 = T_1, int T_1 = T_2 / 4 and int T_l =
+    T_{l+1} / (2(l+1)) - T_{l-1} / (2(l-1)) for l >= 2 (the recurrence of
+    ``numpy.polynomial.chebyshev.chebint``); the constant term makes
+    F(-1) = sum_l (-1)^l C_l = 0.
+    """
+    m, n = B.shape
+    C = np.zeros((m, n + 1))
+    C[:, 1:] = B / (4.0 * np.arange(1, n + 1))
+    C[:, 1] = 0.5 * B[:, 0]
+    C[:, 1:n - 1] -= B[:, 2:] / (4.0 * np.arange(1, n - 1))
+    C[:, 0] = C[:, 1::2].sum(axis=1) - C[:, 2::2].sum(axis=1)
+    return C
+
+
+def _marginal_on_nodes(f: Density, k: int, prefix, t) -> np.ndarray:
+    """(m, n) values hat f_k(prefix_i, t_j) for prefix (m, k-1) and t (n,).
+
+    The (m, n, k) node array is filled _NODE_BLOCK entries at a time.
+    """
+    m, n = prefix.shape[0], t.shape[0]
+    vals = np.empty((m, n))
+    step = max(1, _NODE_BLOCK // (n * k))
+    for lo in range(0, m, step):
+        p = prefix[lo:lo + step]
+        pts = np.empty((p.shape[0], n, k))
+        pts[:, :, : k - 1] = p[:, None, :]
+        pts[:, :, k - 1] = t
+        vals[lo:lo + step] = marginal_hat(f, k, pts.reshape(-1, k)).reshape(-1, n)
+    return vals
 
 
 def _check_points(x: np.ndarray, d: int):
@@ -185,45 +238,44 @@ class ExactTransport:
             raise ValueError("reference and target dimensions differ")
 
     def _density_series(self, f: Density, k: int, prefix) -> np.ndarray:
-        """A (m, n): Legendre coefficients in t of f_k(prefix_i, t).
+        """B (m, n): Chebyshev coefficients in t of f_k(prefix_i, t).
 
-        hat f_k is sampled once on an n-point Gauss rule per prefix (the
-        (m, n, k) node array, filled _NODE_BLOCK entries at a time),
-        projected onto L_0..L_{n-1}, and divided by
-        its own mass A_0, so every row has A_0 = 1. n starts at
-        DEFAULT_CDF_ORDER and doubles while the last two coefficients exceed
-        DEFAULT_ROOT_TOL, up to MAX_CDF_ORDER. Trailing columns below 1e-15
-        (rounding) are dropped, so a density linear in t keeps two.
+        hat f_k is interpolated on n Chebyshev-Lobatto points per prefix
+        (``_lobatto_rule``) and each row is divided by its mass (1/2) int B,
+        sum_l B_l / (1 - l^2) over even l, so every row has mass 1. n starts
+        at DEFAULT_CDF_ORDER and goes to 2n - 1 while the last two
+        coefficients exceed DEFAULT_ROOT_TOL, up to MAX_CDF_ORDER; the
+        points of the n-point rule are the even points of the next, so each
+        refinement samples hat f_k at its n - 1 new points only, and a
+        series costs exactly its final n evaluations per prefix. Trailing
+        columns below 1e-15 (rounding) are dropped, so a density linear in
+        t keeps two.
         """
-        m = prefix.shape[0]
         n = DEFAULT_CDF_ORDER
+        vals = _marginal_on_nodes(f, k, prefix, _lobatto_rule(n)[0])
         while True:
-            rule = gauss_legendre(n)
-            vals = np.empty((m, n))
-            step = max(1, _NODE_BLOCK // (n * k))
-            for lo in range(0, m, step):
-                p = prefix[lo:lo + step]
-                pts = np.empty((p.shape[0], n, k))
-                pts[:, :, : k - 1] = p[:, None, :]
-                pts[:, :, k - 1] = rule.nodes
-                vals[lo:lo + step] = marginal_hat(
-                    f, k, pts.reshape(-1, k)).reshape(-1, n)
-            A = (vals * rule.weights) @ kernels.legendre_table(rule.nodes, n - 1)
-            if np.any(A[:, 0] <= 0):
+            B = vals @ _lobatto_rule(n)[1]
+            mass = B[:, ::2] @ (1.0 / (1.0 - np.arange(0, n, 2) ** 2.0))
+            if np.any(mass <= 0):
                 raise ValueError("non-positive marginal encountered")
-            A /= A[:, :1]
-            tail = float(np.max(np.abs(A[:, -2:]), initial=0.0))
+            B /= mass[:, None]
+            tail = float(np.max(np.abs(B[:, -2:]), initial=0.0))
             if tail <= DEFAULT_ROOT_TOL:
                 break
             if n >= MAX_CDF_ORDER:
                 raise ValueError(
                     f"conditional density of component {k} is not resolved by "
-                    f"{n} Legendre coefficients: tail {tail:.3e} > "
+                    f"{n} Chebyshev coefficients: tail {tail:.3e} > "
                     f"{DEFAULT_ROOT_TOL:g}"
                 )
-            n *= 2
-        live = np.flatnonzero(np.any(np.abs(A) > 1e-15, axis=0))
-        return A[:, : live[-1] + 1 if live.size else 1]
+            n = 2 * n - 1
+            finer = np.empty((vals.shape[0], n))
+            finer[:, ::2] = vals
+            finer[:, 1::2] = _marginal_on_nodes(f, k, prefix,
+                                                _lobatto_rule(n)[0][1::2])
+            vals = finer
+        live = np.flatnonzero(np.any(np.abs(B) > 1e-15, axis=0))
+        return B[:, : live[-1] + 1 if live.size else 1]
 
     def conditional_cdf(self, f: Density, k: int, prefix, t):
         """F_k(prefix, t) = (1/2) * integral_{-1}^{t} f_k(prefix, s) ds.
@@ -284,26 +336,24 @@ class ExactTransport:
         for k, (group, first) in enumerate(levels, start=1):
             sub = pre[first]
             xk = x[first, k - 1]
-            A_src = self._density_series(src, k, x[pre_first, : k - 1])
-            n = A_src.shape[1]
-            table = kernels.chebyshev_table(xk, n)
-            u = np.einsum("mn,mn->m", table, _cdf_series(A_src)[sub])
+            B_src = self._density_series(src, k, x[pre_first, : k - 1])
+            table = kernels.chebyshev_table(xk, B_src.shape[1])
+            u = np.einsum("mn,mn->m", table, _cdf_series(B_src)[sub])
             if k > k0:
-                a_src = np.einsum("mn,mn->m", table[:, :-1],
-                                  (A_src @ legendre_to_chebyshev(n))[sub])
-            del table, A_src  # not held through the root solve
-            A = self._density_series(dst, k, y[pre_first, : k - 1])
-            n = A.shape[1]
-            C = _cdf_series(A)[sub]
-            A = (A @ legendre_to_chebyshev(n))[sub]
+                a_src = np.einsum("mn,mn->m", table[:, :-1], B_src[sub])
+            del table, B_src  # not held through the root solve
+            B = self._density_series(dst, k, y[pre_first, : k - 1])
+            n = B.shape[1]
+            C = _cdf_series(B)[sub]
+            B = B[sub]
             root, _ = _invert_cdf(
-                C, u, lambda T: 0.5 * np.einsum("mn,mn->m", T[:, :n], A))
+                C, u, lambda T: 0.5 * np.einsum("mn,mn->m", T[:, :n], B))
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
             yk = np.where(np.abs(xk) == 1.0, xk, root)
             y[:, k - 1] = yk[group]
             if k > k0:
-                D[k - 1 - k0] = (a_src / chebyshev_series(A, yk))[group]
+                D[k - 1 - k0] = (a_src / chebyshev_series(B, yk))[group]
             pre, pre_first = group, first
         return y, D.T
 

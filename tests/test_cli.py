@@ -170,7 +170,7 @@ PEAKED2 = {"family": "gaussian_posterior", "A": [[4.0, 2.0]],
 
 def test_numerical_error_exit_code(tmp_path, capsys):
     # a valid config whose exact map cannot be resolved: the conditional
-    # density of component 1 needs more than 256 Legendre coefficients
+    # density of component 1 needs more than 257 Chebyshev coefficients
     cfg = _write(tmp_path, "n.json", {
         "reference": UNIFORM2, "target": PEAKED2, "points": [[0.1, 0.2]],
     })
@@ -402,11 +402,9 @@ def test_map_file_components_out_of_order_is_config_error(tmp_path, capsys,
     assert err["kind"] == "config" and "in order" in err["error"]
 
 
-@pytest.mark.parametrize("d, grid", [(8, "15 x 15"), (5, "60 x 60")],
-                         ids=["d8_grid", "d5_oversampled_grid"])
+@pytest.mark.parametrize("d, grid", [(8, "15 x 15")], ids=["d8_grid"])
 def test_distance_grid_too_large_is_numerical_error(tmp_path, capsys, d, grid):
-    # the grid is refused before it is allocated: 15^8 nodes, or the
-    # oversampled TV grid 60^5 after the 15^5 grid of the distances
+    # the grid is refused before it is allocated: 15^8 nodes
     cfg = _write(tmp_path, "g.json", {
         "f": {"family": "linear", "c": [0.1] * d},
         "g": {"family": "uniform", "d": d},
@@ -415,6 +413,20 @@ def test_distance_grid_too_large_is_numerical_error(tmp_path, capsys, d, grid):
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "numerical"
     assert grid in err["error"] and "MAX_GRID_COORDINATES" in err["error"]
+
+
+def test_distance_d5_reports_null_oversampled_tv(tmp_path):
+    # the 15^5 grid of the distances fits, the oversampled 60^5 TV grid
+    # does not: the distances are reported and tv_oversampled is null
+    cfg = _write(tmp_path, "g.json", {
+        "f": {"family": "linear", "c": [0.1] * 5},
+        "g": {"family": "uniform", "d": 5},
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, "distance"]) == 0
+    report = json.loads((tmp_path / "distance.json").read_text())
+    assert report["tv_oversampled"] is None
+    assert report["grid_orders"] == [15] * 5
+    assert 0.0 < report["tv"] < 1.0 and 0.0 < report["hellinger"] < 1.0
 
 
 UNIFORM3 = {"family": "uniform", "d": 3}
@@ -453,7 +465,7 @@ def test_dimension_mismatch_is_config_error(tmp_path, capsys, command, spec):
 
 def test_peaked_posterior_names_component(tmp_path, capsys):
     # the conditional density of component 1 needs more than the largest
-    # Legendre series allowed: a numerical error naming the component
+    # Chebyshev series allowed: a numerical error naming the component
     cfg = _write(tmp_path, "p.json", {
         "A": [[4.0, 2.0]], "varsigma": [0.3], "sigma": 0.05,
         "epsilon": 0.01, "n_samples": 100, "distance_grid_order": 12,

@@ -116,3 +116,27 @@ def test_marginal_hat_validation():
         marginal_hat(f, 2, np.zeros((1, 2)))
     with pytest.raises(ValueError):
         conditional(f, 0, np.zeros((1, 0)))
+
+
+def test_marginal_rule_built_once_per_trailing_dimension(monkeypatch):
+    # repeated marginals at d - k = 2 and 1 build each trailing rule once;
+    # the posterior's own normalisation grid is built before counting
+    from krtransport import density
+
+    f = gaussian_posterior([[1.0, 0.5, 0.25]], [0.3], 0.8)
+    built = []
+
+    def counted(n, d):
+        built.append((n, d))
+        return uniform_grid(n, d)
+
+    density._trailing_rule.cache_clear()
+    monkeypatch.setattr(density, "uniform_grid", counted)
+    x = np.random.Generator(np.random.Philox(2)).uniform(-1, 1, size=(5, 2))
+    first = [marginal_hat(f, k, x[:, :k]) for k in (1, 2)]
+    again = [marginal_hat(f, k, x[:, :k]) for k in (1, 2, 1)]
+    assert built == [(density.DEFAULT_MARGINAL_ORDER, 2),
+                     (density.DEFAULT_MARGINAL_ORDER, 1)]
+    assert all(np.array_equal(a, b) for a, b in zip(first + first[:1], again))
+    pts, w = density._trailing_rule(2)
+    assert not pts.flags.writeable and not w.flags.writeable

@@ -25,7 +25,6 @@ from krtransport.polybasis import (
     zero_polynomial,
 )
 from krtransport.quadrature import gauss_legendre, uniform_grid
-from krtransport.transport import MAX_CDF_ORDER
 
 
 def _index_set(k, members):
@@ -162,7 +161,7 @@ def test_dimension_guard():
         p.eval(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 65, MAX_CDF_ORDER + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 65, 257])
 def test_legendre_to_chebyshev_matches_numpy_convert(n):
     P = legendre_to_chebyshev(n)
     assert P.shape == (n, n) and not P.flags.writeable
@@ -181,7 +180,7 @@ def test_legendre_to_chebyshev_matches_numpy_convert(n):
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 5),
-    n=st.integers(1, MAX_CDF_ORDER + 1),
+    n=st.integers(1, 257),
 )
 def test_chebyshev_series_of_converted_coefficients(seed, m, n):
     # A @ P evaluated in the Chebyshev basis is the Legendre series A

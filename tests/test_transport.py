@@ -364,7 +364,9 @@ def test_grouped_batch_matches_rows_and_permutes(direction):
 
 
 def test_series_built_once_per_distinct_prefix():
-    # a broad posterior: every conditional series stops at n = 32 nodes
+    # a broad posterior: the series of component 1 stops at 33 points
+    # (9 + 8 + 16 evaluations per prefix), those of components 2 and 3 at
+    # 17 (9 + 8); no refinement evaluates a point twice
     pi = gaussian_posterior([[1.0, 0.5, 0.25]], [0.3], 0.9)
     counted = []
 
@@ -373,15 +375,17 @@ def test_series_built_once_per_distinct_prefix():
         return pi.evaluate(x)
 
     t = ExactTransport(reference=uniform(3), target=replace(pi, evaluate=evaluate))
-    q, d, n, nq = 4, 3, 32, DEFAULT_MARGINAL_ORDER
+    q, d, nq = 4, 3, DEFAULT_MARGINAL_ORDER
+    levels = {1: [9, 8, 16], 2: [9, 8], 3: [9, 8]}
     grid = np.stack(
         np.meshgrid(*[np.linspace(-0.8, 0.7, q)] * d, indexing="ij"), axis=-1
     ).reshape(-1, d)
     t.forward(grid)
-    # component k: q^(k-1) distinct prefixes, each with n nodes of
-    # hat f_k (nq^(d-k) trailing nodes each) and no separate denominator;
-    # every call fits one block
-    expect = [q ** (k - 1) * n * nq ** (d - k) for k in range(1, d + 1)]
+    # component k: q^(k-1) distinct prefixes, each sampled at the new
+    # points of every level (nq^(d-k) trailing nodes each) and with no
+    # separate denominator; every call fits one block
+    expect = [q ** (k - 1) * n * nq ** (d - k)
+              for k in range(1, d + 1) for n in levels[k]]
     assert counted == expect
 
     # grouping is bitwise: a prefix one ulp away gets its own series
@@ -391,7 +395,67 @@ def test_series_built_once_per_distinct_prefix():
     t.conditional_cdf(t.target, 3, prefix, np.linspace(-1, 1, 15))
     distinct = np.unique(prefix, axis=0).shape[0]
     assert distinct == 3
-    assert counted == [distinct * n]
+    assert counted == [distinct * n for n in levels[3]]
+
+
+def test_linear_series_costs_its_nine_points():
+    # hat f_k is linear in t: resolved by the first 9-point rule, whose
+    # interpolant keeps two coefficients; 9 evaluations per distinct prefix
+    pi = linear_density([0.3, 0.2, 0.1])
+    counted = []
+
+    def oracle(k, x):
+        counted.append((k, x.shape[0]))
+        return pi.marginal_oracle(k, x)
+
+    t = ExactTransport(reference=uniform(3),
+                       target=replace(pi, marginal_oracle=oracle))
+    axes = [np.linspace(-0.9, 0.8, 3)] * 2 + [np.linspace(-0.95, 0.95, 11)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    t.forward(grid)
+    assert counted == [(1, 9), (2, 3 * 9), (3, 9 * 9)]
+    series = t._density_series(t.target, 2, grid[:1, :1])
+    assert series.shape == (1, 2)
+
+
+@pytest.mark.parametrize("n", [9, 17, 33, 65, 129, 257])
+def test_lobatto_rule_interpolates_chebyshev_polynomials(n):
+    # the values of T_0..T_{n-1} at the points map to the identity; the
+    # rule of 2n - 1 points holds this one's points at its even indices
+    x, M = transport._lobatto_rule(n)
+    assert not x.flags.writeable and not M.flags.writeable
+    assert transport._lobatto_rule(n)[1] is M  # cached
+    assert x[0] == 1.0 and x[-1] == -1.0 and np.array_equal(x, -x[::-1])
+    assert np.allclose(x, np.cos(np.pi * np.arange(n) / (n - 1)), rtol=0,
+                       atol=1e-15)
+    assert np.array_equal(transport._lobatto_rule(2 * n - 1)[0][::2], x)
+    # chebvander's recurrence itself errs by up to about n^2 ulps here
+    V = np.polynomial.chebyshev.chebvander(x, n - 1)
+    assert np.max(np.abs(V @ M - np.eye(n))) <= 2e-17 * n * n
+
+
+def test_cdf_series_is_half_chebint_from_minus_one():
+    rng = _rng(12)
+    for n in [1, 2, 3, 8, 33]:
+        B = rng.normal(size=(4, n))
+        C = transport._cdf_series(B)
+        expect = 0.5 * np.array(
+            [np.polynomial.chebyshev.chebint(b, lbnd=-1) for b in B])
+        assert C.shape == (4, n + 1)
+        assert np.allclose(C, expect, rtol=0, atol=1e-15)
+        # F(-1) = 0: the alternating coefficient sum
+        alt = C[:, 0::2].sum(axis=1) - C[:, 1::2].sum(axis=1)
+        assert np.allclose(alt, 0.0, rtol=0, atol=1e-15)
+
+
+def test_unresolved_series_names_its_component():
+    # a peaked posterior: the series of component 1 is not resolved by the
+    # largest rule, and the error says so instead of solving on it
+    pi = gaussian_posterior([[4.0, 2.0]], [0.3], 0.05)
+    t = ExactTransport(reference=uniform(2), target=pi)
+    with pytest.raises(ValueError, match="component 1 is not resolved by 257 "
+                                         "Chebyshev coefficients"):
+        t.forward(np.array([[0.1, 0.2]]))
 
 
 def _check_prefix_groups(x, kmax):
