@@ -18,13 +18,15 @@ coefficient matrix W with W[h, n] the coefficient of the term (H[h], n), so
 b = Phi @ W (+1 on b_0), where Phi[i, h] = prod_j L_{H[h,j]}(x_ij) needs one
 Legendre table per prefix coordinate that H uses.
 Orthonormality gives c_k = 2 sum_n b_n^2, and Tt_k = 2F - 1 with F the CDF
-of the density 2 q^2 / c_k: q^2 has degree 2N, so its values at 2N+1 Gauss
-nodes give the exact Legendre series of F. One cached matrix takes those
-values straight to the Chebyshev coefficients of F, the basis in which
-F and q are evaluated pointwise, and the exact transport's series solver
-inverts F. That solve also returns F' at the root, so the
-inverse map yields the diagonal derivatives Tt_k' = 2F' with no second
-series build, which is all ``pushforward_density`` needs.
+of the density Tt_k' = 2 q^2 / c_k. That density has degree 2N, so its
+values at 2N+1 Chebyshev-Lobatto points give its exact Chebyshev series
+and, through the Chebyshev antiderivative, that of F: the recipe the exact
+transport uses for its conditional series (``transport._lobatto_rule``
+and ``transport._cdf_series``), here as two cached matrices. The exact
+transport's series solver inverts F and reads F' off the density series
+at the root, so the inverse map yields the diagonal derivatives
+Tt_k' = 2F' with no second series build, which is all
+``pushforward_density`` needs.
 """
 
 import math
@@ -38,20 +40,15 @@ import numpy as np
 from . import kernels
 from .density import Density
 from .indexsets import IndexSet, WeightVector, enumerate_lambda
-from .polybasis import (
-    SparsePolynomial,
-    chebyshev_series,
-    legendre_antiderivative,
-    legendre_to_chebyshev,
-    project,
-    zero_polynomial,
-)
-from .quadrature import TensorGrid, gauss_legendre, tensor_grid
+from .polybasis import SparsePolynomial, chebyshev_series, project, zero_polynomial
+from .quadrature import TensorGrid, tensor_grid
 from .transport import (
     ExactTransport,
+    _cdf_series,
     _check_points,
     _component_points,
     _invert_cdf,
+    _lobatto_rule,
 )
 
 DEGENERATE_C_FLOOR = 1e-14
@@ -112,21 +109,21 @@ def projection_grid(transport: ExactTransport, index_set: IndexSet) -> TensorGri
 
 @lru_cache(maxsize=None)
 def _square_cdf_matrices(n1: int):
-    """(L, M) for series q of length n1 = N + 1, as read-only arrays.
+    """(L, M, MC) for series q of length n1 = N + 1, as read-only arrays.
 
-    q at the 2N+1 Gauss nodes is B @ L, and (q * q) @ M holds the Chebyshev
-    coefficients of (1/2) int_{-1}^{t} q^2: the rule projects q^2 (degree
-    2N) exactly onto the Legendre basis, the antiderivative of the
-    projection is exact, and M ends in the conversion to Chebyshev.
+    On the n = max(2N + 1, 2) Chebyshev-Lobatto points of ``_lobatto_rule``,
+    q is B @ L; for the values s there of a polynomial of degree 2N, such
+    as q^2, s @ M is its Chebyshev series, exact since the interpolant of
+    degree n - 1 >= 2N reproduces it, and s @ MC = _cdf_series(s @ M) that
+    of its antiderivative (1/2) int_{-1}^{t}. A q constant in t (N = 0)
+    still gets two points: the one-point rule divides by N = 0.
     """
-    rule = gauss_legendre(2 * n1 - 1)
-    L = kernels.legendre_table(rule.nodes, n1 - 1).T.copy()
-    M = legendre_antiderivative(
-        rule.weights[:, None] * kernels.legendre_table(rule.nodes, 2 * n1 - 2)
-    ) @ legendre_to_chebyshev(2 * n1)
+    x, M = _lobatto_rule(max(2 * n1 - 1, 2))
+    L = kernels.legendre_table(x, n1 - 1).T.copy()
+    MC = _cdf_series(M)
     L.setflags(write=False)
-    M.setflags(write=False)
-    return L, M
+    MC.setflags(write=False)
+    return L, M, MC
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,8 @@ class RationalComponent:
     def __post_init__(self):
         if self.p.dim != self.k:
             raise ValueError(f"p has dimension {self.p.dim}, expected {self.k}")
+        if self.lam is not None and self.lam.k != self.k:
+            raise ValueError(f"lambda is for k = {self.lam.k}, expected {self.k}")
 
     @property
     def is_identity(self) -> bool:
@@ -163,12 +162,16 @@ class RationalComponent:
         return B
 
     def _c(self, B: np.ndarray) -> np.ndarray:
-        """c_k = int_{-1}^{1} q^2 dt = 2 sum_n B[:, n]^2 (Parseval)."""
+        """c_k = int_{-1}^{1} q^2 dt = 2 sum_n B[:, n]^2 (Parseval).
+
+        Raises ValueError unless every c_k is finite and above
+        DEGENERATE_C_FLOOR; NaN fails both comparisons."""
         c = 2.0 * np.einsum("mn,mn->m", B, B)
-        if np.any(c <= DEGENERATE_C_FLOOR):
+        ok = (c > DEGENERATE_C_FLOOR) & (c < np.inf)
+        if not np.all(ok):
             raise ValueError(
                 f"degenerate normalization in component {self.k}: "
-                f"min c = {float(np.min(c)):.3e}"
+                f"c = {float(c[~ok][0]):.3e}"
             )
         return c
 
@@ -179,46 +182,43 @@ class RationalComponent:
             return np.full(prefix.shape[0], 2.0)
         return self._c(self._t_coeffs(prefix))
 
-    def _cdf(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(m, 2N+2): the Chebyshev series in t of the CDF of 2 q^2 / c."""
-        L, M = _square_cdf_matrices(B.shape[1])
+    def _square(self, prefix: np.ndarray):
+        """(s, M, MC): s (m, n) holds Tt_k' = 2 q^2 / c_k on the n points of
+        ``_square_cdf_matrices``, so s @ M is its Chebyshev series in t and
+        s @ MC that of the CDF F, Tt_k = 2F - 1."""
+        B = self._t_coeffs(prefix)
+        c = self._c(B)
+        L, M, MC = _square_cdf_matrices(B.shape[1])
         q = B @ L
-        return ((q * q) @ M) * (2.0 / c)[:, None]
+        return q * q * (2.0 / c)[:, None], M, MC
 
     def eval(self, x) -> np.ndarray:
         """Tt_k = 2F - 1 at points x of shape (m, k), clipped into [-1, 1]."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return x[:, -1].copy()
-        B = self._t_coeffs(x[:, :-1])
-        F = chebyshev_series(self._cdf(B, self._c(B)), x[:, -1])
+        s, _, MC = self._square(x[:, :-1])
+        F = chebyshev_series(s @ MC, x[:, -1])
         return np.clip(2.0 * F - 1.0, -1.0, 1.0)
 
     def deriv(self, x) -> np.ndarray:
-        """d/dx_k Tt_k = 2 q(x_k)^2 / c_k >= 0."""
+        """d/dx_k Tt_k = 2 q(x_k)^2 / c_k, read off its Chebyshev series."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return np.ones(x.shape[0])
-        B = self._t_coeffs(x[:, :-1])
-        q = chebyshev_series(B @ legendre_to_chebyshev(B.shape[1]), x[:, -1])
-        return 2.0 * q**2 / self._c(B)
+        s, M, _ = self._square(x[:, :-1])
+        return chebyshev_series(s @ M, x[:, -1])
 
     def invert(self, prefix, y):
         """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
-        CDF series, and Tt_k' = 2F' = 2 q(t)^2 / c_k from the solve's last
-        slope."""
+        CDF series, and Tt_k' = 2F' from the slope the solve reads off the
+        density series at its root."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
             return y.copy(), np.ones(y.shape[0])
-        B = self._t_coeffs(prefix)
-        c = self._c(B)
-        n1 = B.shape[1]
-        Bc = B @ legendre_to_chebyshev(n1)
-        t, dF = _invert_cdf(
-            self._cdf(B, c), 0.5 * (y + 1.0),
-            lambda T: np.einsum("mn,mn->m", T[:, :n1], Bc) ** 2 / c,
-        )
+        s, M, MC = self._square(prefix)
+        t, dF = _invert_cdf(s @ MC, s @ M, 0.5 * (y + 1.0))
         return t, 2.0 * dF
 
     def to_json(self) -> dict:

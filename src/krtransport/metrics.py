@@ -13,14 +13,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import kernels
-from .polybasis import legendre_antiderivative
 from .quadrature import (
     MAX_GRID_COORDINATES,
     TensorGrid,
     gauss_legendre,
     tensor_grid,
 )
-from .transport import pushforward_density
+from .transport import _cdf_series, _lobatto_rule, pushforward_density
 
 W1_CDF_ORDER = 64
 
@@ -75,15 +74,18 @@ def _kl_divergence(fv, gv, w) -> float:
 def _wasserstein1_1d(f, g) -> float:
     """int_{-1}^{1} |F - G| dt, F and G the CDFs of f and g.
 
-    f - g is projected onto L_0..L_{n-1} on the n = W1_CDF_ORDER Gauss
-    nodes; the exact antiderivative of that series is F - G, evaluated
-    back on the same nodes.
+    f - g is interpolated on the W1_CDF_ORDER + 1 Chebyshev-Lobatto points
+    of ``transport._lobatto_rule``; the exact antiderivative of that series
+    (``transport._cdf_series``) is F - G, and |F - G| is integrated on the
+    W1_CDF_ORDER Gauss nodes.
     """
-    fv, gv, w = _grid_values(f, g, tensor_grid([W1_CDF_ORDER]))
-    table = kernels.legendre_table(gauss_legendre(W1_CDF_ORDER).nodes, W1_CDF_ORDER)
-    C = legendre_antiderivative((((fv - gv) * w) @ table[:, :-1])[None, :])
+    x, M = _lobatto_rule(W1_CDF_ORDER + 1)
+    fv, gv = (np.asarray(_as_fn(h)(x[:, None]), dtype=np.float64) for h in (f, g))
+    C = _cdf_series(((fv - gv) @ M)[None, :])[0]
+    rule = gauss_legendre(W1_CDF_ORDER)
+    FG = kernels.chebyshev_table(rule.nodes, W1_CDF_ORDER + 1) @ C
     # the weights are mu-normalized; Lebesgue measure of [-1,1] is 2
-    return float(2.0 * (np.abs(table @ C[0]) @ w))
+    return float(2.0 * (np.abs(FG) @ rule.weights))
 
 
 def distance_report(f, g, d: int, grid: TensorGrid,

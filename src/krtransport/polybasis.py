@@ -3,13 +3,15 @@
 The 1d basis is L_n = sqrt(2n+1) P_n, orthonormal in L^2([-1,1]; mu) with
 mu the uniform probability measure. Multiindices are tuples of nonnegative
 ints with trailing zeros trimmed; tensor basis functions are products of
-1d factors. A 1d series in L_n converts to the Chebyshev basis by one
-matrix (``legendre_to_chebyshev``), in which it is evaluated pointwise.
+1d factors. Legendre is the projection basis only: every 1d series in t
+is a Chebyshev series, evaluated pointwise by ``chebyshev_series`` (the
+rational components interpolate their integrands on Chebyshev-Lobatto
+points, see ``approx``).
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -122,10 +124,12 @@ class SparsePolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsePolynomial":
-        return cls(
-            dim=int(obj["dim"]),
-            terms={canon(t["nu"]): float(t["coeff"]) for t in obj["terms"]},
-        )
+        """Raises ValueError on a NaN or infinite coefficient."""
+        terms = {canon(t["nu"]): float(t["coeff"]) for t in obj["terms"]}
+        bad = [nu for nu, c in terms.items() if not math.isfinite(c)]
+        if bad:
+            raise ValueError(f"non-finite coefficient of index {bad[0]}")
+        return cls(dim=int(obj["dim"]), terms=terms)
 
 
 def zero_polynomial(dim: int) -> SparsePolynomial:
@@ -170,28 +174,6 @@ def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
     return SparsePolynomial(k, terms)
 
 
-@lru_cache(maxsize=None)
-def legendre_to_chebyshev(n: int) -> np.ndarray:
-    """P (n, n), read-only: A @ P holds the Chebyshev coefficients of the
-    series with orthonormal Legendre coefficients A (..., n).
-
-    Row i holds L_i in the Chebyshev basis, from the closed form
-    P_i = sum_{2j <= i} (2 - [2j = i]) r_j r_{i-j} T_{i-2j} with
-    r_j = prod_{l=1}^{j} (l - 1/2) / l = Gamma(j + 1/2) / (sqrt(pi) j!).
-    The products are all positive, so every entry is accurate to a few
-    ulps, and |P[i, l]| <= sqrt(3).
-    """
-    j = np.arange(1, n)
-    r = np.cumprod(np.concatenate([[1.0], (j - 0.5) / j]))
-    P = np.zeros((n, n))
-    for i in range(n):
-        j = np.arange(i // 2 + 1)
-        P[i, i - 2 * j] = r[j] * r[i - j] * np.where(2 * j == i, 1.0, 2.0)
-    P *= np.sqrt(2.0 * np.arange(n) + 1.0)[:, None]
-    P.setflags(write=False)
-    return P
-
-
 def chebyshev_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
     """q_i(t_i) = sum_n B[i, n] T_n(t_i), one 1d Chebyshev series per row of B.
 
@@ -201,17 +183,3 @@ def chebyshev_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
     table = chebyshev_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))
     return np.einsum("m...n,mn->m...", table, B)
 
-
-def legendre_antiderivative(A: np.ndarray) -> np.ndarray:
-    """C (m, n+1): row i's series of (1/2) int_{-1}^{t} sum_n A[i, n] L_n.
-
-    Exact, from int P_n = (P_{n+1} - P_{n-1}) / (2n+1) for n >= 1 and
-    int_{-1}^{t} P_0 = P_0 + P_1, with L_n = s_n P_n, s_n = sqrt(2n+1).
-    """
-    m, n = A.shape
-    s = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
-    C = np.zeros((m, n + 1))
-    C[:, 1:] = A / (2.0 * s[:n] * s[1:])
-    C[:, 0] = 0.5 * A[:, 0]
-    C[:, : n - 1] -= A[:, 1:] / (2.0 * s[1:n] * s[: n - 1])
-    return C

@@ -19,9 +19,12 @@ the CDF series gives F(-1) and F(1) in closed form, T_n(+-1) = (+-1)^n.
 A solve also returns the diagonal of its Jacobian, the ratio of the two
 density series at each k, for the components its caller reads, so one
 inverse solve gives both the preimage and the determinant
-``pushforward_density`` needs. The rational components of ``approx`` hand
-their CDF series to the same solver, which returns the root and the CDF
-slope there. All point operations are vectorized over batches of points;
+``pushforward_density`` needs. The rational components of ``approx``
+build their series by the same recipe, interpolation on Chebyshev-Lobatto
+points (``_lobatto_rule``) and the Chebyshev antiderivative
+(``_cdf_series``), and hand the density and CDF series to the same
+solver, which reads the slope F' off its own Newton table and returns it
+with the root. All point operations are vectorized over batches of points;
 both maps reject points outside [-1, 1]^d, NaN included, and component
 indices outside 1..d.
 """
@@ -92,26 +95,26 @@ def _inside(t, a, b):
     return np.where(bad, 0.5 * (a + b), t)
 
 
-def _invert_cdf(C: np.ndarray, u, slope):
+def _invert_cdf(C: np.ndarray, B: np.ndarray, u):
     """(t, F'(t)): t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF in row i of C.
 
-    C (m, n): Chebyshev coefficients of CDFs with F(-1) = 0 and F(1) = 1 up
-    to rounding; u is clipped into [0, 1]. The bracket ends are read off C
-    (T_n(1) = 1, T_n(-1) = (-1)^n), not evaluated. slope(table) returns F'
-    from the (m, n) Chebyshev table at t. Each Newton step builds one
-    table and reads F and F' off it; only F' at the latest t is kept, so
-    no table outlives its step (holding it until the F' call raised the
-    peak RSS of the d = 32 truncation study from 82 to 97 MB in a
-    single-threaded run). The solve returns after an F evaluation at its
-    root, so the F' returned is the one held from there, at no further
-    evaluation.
+    C (m, n + 1): Chebyshev coefficients of CDFs with F(-1) = 0 and F(1) = 1
+    up to rounding, the half antiderivatives (``_cdf_series``) of the
+    density series B (m, n), so F' = B . T / 2; u is clipped into [0, 1].
+    The bracket ends are read off C (T_n(1) = 1, T_n(-1) = (-1)^n), not
+    evaluated. Each Newton step builds one table and reads F and F' off it;
+    only F' at the latest t is kept, so no table outlives its step (holding
+    it until the F' call raised the peak RSS of the d = 32 truncation study
+    from 82 to 97 MB in a single-threaded run). The solve returns after an
+    F evaluation at its root, so the F' returned is the one held from
+    there, at no further evaluation.
     """
-    n = C.shape[1]
+    n = B.shape[1]
     held = [None, None]  # the latest t and F' there
 
     def F(t):
-        table = kernels.chebyshev_table(t, n - 1)
-        held[:] = t, slope(table)
+        table = kernels.chebyshev_table(t, n)
+        held[:] = t, 0.5 * np.einsum("mn,mn->m", table[:, :n], B)
         return np.einsum("mn,mn->m", table, C)
 
     def fprime(t):
@@ -343,11 +346,9 @@ class ExactTransport:
                 a_src = np.einsum("mn,mn->m", table[:, :-1], B_src[sub])
             del table, B_src  # not held through the root solve
             B = self._density_series(dst, k, y[pre_first, : k - 1])
-            n = B.shape[1]
             C = _cdf_series(B)[sub]
             B = B[sub]
-            root, _ = _invert_cdf(
-                C, u, lambda T: 0.5 * np.einsum("mn,mn->m", T[:, :n], B))
+            root, _ = _invert_cdf(C, B, u)
             # the solve resolves F to DEFAULT_ROOT_TOL only; x_k = +-1 maps
             # to +-1 exactly
             yk = np.where(np.abs(xk) == 1.0, xk, root)

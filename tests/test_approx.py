@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev, Legendre
+from numpy.polynomial.legendre import legmul
 
 from krtransport.approx import (
     DEFAULT_MARGIN,
     DEFAULT_NODE_BUDGET,
     ApproxTransport,
     RationalComponent,
+    _square_cdf_matrices,
     build_approx_transport,
     fit_component,
     projection_grid,
@@ -141,6 +144,76 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     assert abs(back[0] - xk) <= 1e-10
     expect = comp.deriv(np.concatenate([prefix, back[:, None]], axis=1))[0]
     assert abs(dback[0] - expect) <= 1e-14 * expect
+
+
+@pytest.mark.parametrize("n1", range(1, 21))
+def test_square_cdf_matrices_match_numpy_legmul(n1):
+    # q^2 at the Lobatto points, times M, is numpy's Chebyshev series of
+    # the Legendre product q * q; times MC, its half antiderivative, with
+    # F(1) = (1/2) int q^2 = c / 2
+    L, M, MC = _square_cdf_matrices(n1)
+    assert _square_cdf_matrices(n1)[2] is MC  # cached
+    assert not (L.flags.writeable or M.flags.writeable or MC.flags.writeable)
+    B = _rng(n1).normal(size=(3, n1))
+    q = B @ L
+    got = (q * q) @ M
+    c = RationalComponent(k=1, p=zero_polynomial(1))._c(B)
+    for i, b in enumerate(B):
+        P = b * np.sqrt(2.0 * np.arange(n1) + 1.0)  # classical Legendre
+        expect = Legendre(legmul(P, P)).convert(kind=Chebyshev).coef
+        assert got.shape[1] >= expect.size
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(got[i, : expect.size] - expect)) <= 1e-13 * scale
+        assert np.max(np.abs(got[i, expect.size:]), initial=0.0) <= 1e-13 * scale
+    F1 = ((q * q) @ MC).sum(axis=1)  # T_n(1) = 1
+    assert np.allclose(F1, c / 2, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("comp", [
+    RationalComponent(1, SparsePolynomial(1, {(): 0.5})),
+    RationalComponent(2, SparsePolynomial(2, {(1,): 0.3})),
+], ids=["constant", "prefix_only"])
+def test_component_constant_in_t_is_identity(comp):
+    # q does not depend on t (N = 0): the density 2 q^2 / c_k is 1, so
+    # Tt_k(x) = x_k; its rule still has two points
+    x = _rng(15).uniform(-1.0, 1.0, size=(50, comp.k))
+    x[:2, -1] = [-1.0, 1.0]
+    y = comp.eval(x)
+    assert np.max(np.abs(y - x[:, -1])) <= 1e-14
+    assert y[0] == -1.0 and y[1] == 1.0
+    assert np.allclose(comp.deriv(x), 1.0, rtol=0, atol=1e-14)
+    # the solve stops at |F(t) - u| <= 1e-12, and F' = 1/2
+    back, dback = comp.invert(x[:, :-1], y)
+    assert np.max(np.abs(back - x[:, -1])) <= 2e-12
+    assert np.allclose(dback, 1.0, rtol=0, atol=1e-14)
+
+
+def test_component_rejects_lambda_of_another_k():
+    lam = IndexSet(k=1, epsilon=0.1, members=((), (1,)))
+    with pytest.raises(ValueError, match="lambda is for k = 1, expected 2"):
+        RationalComponent(2, SparsePolynomial(2, {(0, 1): 0.1}), lam=lam)
+    blob = RationalComponent(2, SparsePolynomial(2, {(0, 1): 0.1})).to_json()
+    with pytest.raises(ValueError, match="lambda is for k = 1"):
+        RationalComponent.from_json({**blob, "lambda": lam.to_json()})
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coefficient_is_rejected_when_read(coeff):
+    blob = SparsePolynomial(1, {(1,): 0.3}).to_json()
+    blob["terms"][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match=r"non-finite coefficient of index \(1,\)"):
+        SparsePolynomial.from_json(blob)
+
+
+@pytest.mark.parametrize("coeff", [1e300, float("nan")])
+def test_non_finite_normalization_names_the_component(coeff):
+    # c_k = 2 sum b_n^2 overflows to inf for a 1e300 coefficient; a NaN
+    # fails the comparison with the floor as well
+    comp = RationalComponent(2, SparsePolynomial(2, {(0, 1): coeff}))
+    x = np.array([[0.1, 0.2]])
+    for call in (comp.eval, comp.deriv, lambda x: comp.invert(x[:, :1], x[:, 1])):
+        with pytest.raises(ValueError, match="normalization in component 2"):
+            call(x)
 
 
 def _t_coeffs_term_by_term(p, prefix):

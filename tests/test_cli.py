@@ -402,6 +402,35 @@ def test_map_file_components_out_of_order_is_config_error(tmp_path, capsys,
     assert err["kind"] == "config" and "in order" in err["error"]
 
 
+@pytest.mark.parametrize("command", [["transport", "eval"], ["distance"]],
+                         ids=["transport_eval", "distance"])
+@pytest.mark.parametrize("edit, rc, kind, text", [
+    (lambda c: c["p_coeffs"]["terms"][0].update(coeff=float("nan")),
+     2, "config", "non-finite coefficient"),
+    (lambda c: c["lambda"].update(k=1), 2, "config", "lambda is for k = 1"),
+    # finite when read, but c_k = 2 sum b_n^2 overflows: the component
+    # is named instead of writing null values
+    (lambda c: c["p_coeffs"]["terms"][0].update(coeff=1e300),
+     3, "numerical", "component 2"),
+], ids=["nan_coeff", "lambda_k", "overflowing_coeff"])
+def test_invalid_map_file_values(tmp_path, capsys, command, edit, rc, kind, text):
+    assert _run(["--config", _write(tmp_path, "b.json", BUILD2), "--out",
+                 tmp_path, "approx", "build"]) == 0
+    map_file = tmp_path / "approx_transport.json"
+    tmap = json.loads(map_file.read_text())
+    edit(tmap["components"][1])
+    map_file.write_text(json.dumps(tmap))
+    capsys.readouterr()
+    cfg = _write(tmp_path, "m.json", {
+        "reference": UNIFORM2, "target": LINEAR2, "map_file": str(map_file),
+        **({"mode": "approx", "points": [[0.1, 0.2]]}
+           if command[0] == "transport" else {}),
+    })
+    assert _run(["--config", cfg, "--out", tmp_path, *command]) == rc
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == kind and text in err["error"]
+
+
 @pytest.mark.parametrize("d, grid", [(8, "15 x 15")], ids=["d8_grid"])
 def test_distance_grid_too_large_is_numerical_error(tmp_path, capsys, d, grid):
     # the grid is refused before it is allocated: 15^8 nodes

@@ -1,5 +1,6 @@
-"""Orthonormal Legendre basis, sparse polynomials, projection, antiderivative,
-and the Legendre-to-Chebyshev conversion."""
+"""Orthonormal Legendre basis, sparse polynomials, projection, Chebyshev
+evaluation, and the Lobatto interpolation that takes Legendre series (and
+their squares, with the antiderivative) to the Chebyshev basis."""
 
 import math
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev, Legendre
+from numpy.polynomial.chebyshev import chebval
 
+from krtransport.approx import _square_cdf_matrices
 from krtransport.indexsets import IndexSet
 from krtransport.kernels import legendre_table
 from krtransport.polybasis import (
@@ -16,8 +19,6 @@ from krtransport.polybasis import (
     canon,
     chebyshev_series,
     grlex_key,
-    legendre_antiderivative,
-    legendre_to_chebyshev,
     max_degree_per_dim,
     padded,
     project,
@@ -25,6 +26,7 @@ from krtransport.polybasis import (
     zero_polynomial,
 )
 from krtransport.quadrature import gauss_legendre, uniform_grid
+from krtransport.transport import _lobatto_rule
 
 
 def _index_set(k, members):
@@ -116,29 +118,41 @@ def _random_series(seed, m=6, n=9):
     return rng, rng.normal(size=(m, n))
 
 
+def _square_cdf(A):
+    """Chebyshev series of F = (1/2) int_{-1}^t q^2 for the Legendre
+    series q in the rows of A, through the matrices of the rational
+    components."""
+    L, _, MC = _square_cdf_matrices(A.shape[1])
+    q = A @ L
+    return (q * q) @ MC
+
+
 def test_antiderivative_exactness():
-    # (1/2) int_{-1}^t of each row's series: zero at -1, derivative is
-    # half the series (central differences on a degree-9 polynomial)
+    # (1/2) int_{-1}^t q^2 of each row's series q: zero at -1, derivative
+    # is half of q^2 (central differences on a degree-17 polynomial)
     rng, A = _random_series(2)
-    C = legendre_antiderivative(A)
-    assert C.shape == (6, 10)
-    assert np.allclose(_legendre_series(C, np.full(6, -1.0)), 0.0, atol=1e-14)
+    C = _square_cdf(A)
+    assert C.shape == (6, 18)
+    assert np.allclose(chebyshev_series(C, np.full(6, -1.0)), 0.0, atol=1e-14)
     t = rng.uniform(-0.9, 0.9, size=6)
     h = 1e-5
-    deriv = (_legendre_series(C, t + h) - _legendre_series(C, t - h)) / (2 * h)
-    assert np.allclose(deriv, 0.5 * _legendre_series(A, t), atol=1e-8)
+    deriv = (chebyshev_series(C, t + h) - chebyshev_series(C, t - h)) / (2 * h)
+    assert np.allclose(deriv, 0.5 * _legendre_series(A, t) ** 2, atol=1e-8)
 
 
 def test_antiderivative_quadrature_consistency():
-    # F(1) = A_0, and F(t) matches a Gauss rule mapped onto [-1, t]
+    # F(1) = sum_n A_n^2 (Parseval), and F(t) matches a Gauss rule mapped
+    # onto [-1, t]
     rng, A = _random_series(3)
-    C = legendre_antiderivative(A)
-    assert np.allclose(_legendre_series(C, np.ones(6)), A[:, 0], atol=1e-13)
+    C = _square_cdf(A)
+    parseval = np.sum(A * A, axis=1)
+    assert np.allclose(chebyshev_series(C, np.ones(6)), parseval, rtol=1e-14,
+                       atol=0)
     t = rng.uniform(-1.0, 1.0, size=6)
-    rule = gauss_legendre(8)
+    rule = gauss_legendre(12)
     s = -1.0 + np.outer(0.5 * (t + 1.0), rule.nodes + 1.0)
-    ref = 0.5 * (t + 1.0) * (_legendre_series(A, s) @ rule.weights)
-    assert np.allclose(_legendre_series(C, t), ref, atol=1e-13)
+    ref = 0.5 * (t + 1.0) * (_legendre_series(A, s) ** 2 @ rule.weights)
+    assert np.allclose(chebyshev_series(C, t), ref, rtol=1e-14, atol=1e-14)
 
 
 def test_json_round_trip():
@@ -163,17 +177,20 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 65, 257])
 def test_legendre_to_chebyshev_matches_numpy_convert(n):
-    P = legendre_to_chebyshev(n)
-    assert P.shape == (n, n) and not P.flags.writeable
-    assert legendre_to_chebyshev(n) is P  # cached
-    assert np.max(np.abs(P)) <= math.sqrt(3.0) + 1e-15
+    # a Legendre series reaches the Chebyshev basis by interpolation on
+    # Chebyshev-Lobatto points, as the squares of the rational components
+    # do: the values of L_0..L_{n-1} on max(n, 2) points map to the
+    # Chebyshev coefficients of each L_i (the one-point rule divides by 0)
+    x, M = _lobatto_rule(max(n, 2))
+    P = legendre_table(x, n - 1).T @ M
     # numpy's conversion of row i costs O(i^3): every row up to degree 64,
-    # and the two top degrees, where the rounding is largest
+    # and the two top degrees, where the rounding is largest; L_i at the
+    # points is accurate to about i ulps of its size sqrt(2i + 1)
     for i in sorted(set(range(min(n, 65))) | {n - 2, n - 1} - {-1}):
-        row = np.zeros(n)
+        row = np.zeros(P.shape[1])
         coef = Legendre.basis(i).convert(kind=Chebyshev).coef
         row[: coef.size] = coef * math.sqrt(2 * i + 1)
-        assert np.max(np.abs(P[i] - row)) <= 1e-13
+        assert np.max(np.abs(P[i] - row)) <= 1e-15 * n
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,11 +200,12 @@ def test_legendre_to_chebyshev_matches_numpy_convert(n):
     n=st.integers(1, 257),
 )
 def test_chebyshev_series_of_converted_coefficients(seed, m, n):
-    # A @ P evaluated in the Chebyshev basis is the Legendre series A
+    # row i of B is a Chebyshev series evaluated at its own t_i, as numpy's
+    # Clenshaw evaluation does it, the ends +-1 included
     rng = np.random.Generator(np.random.Philox(seed))
-    A = rng.normal(size=(m, n)) * rng.uniform(0.0, 1.0, size=(m, 1)) ** 4
+    B = rng.normal(size=(m, n)) * rng.uniform(0.0, 1.0, size=(m, 1)) ** 4
     t = rng.uniform(-1.0, 1.0, size=m)
     t[: m // 2] = rng.choice([-1.0, 1.0], size=m // 2)
-    got = chebyshev_series(A @ legendre_to_chebyshev(n), t)
-    expect = _legendre_series(A, t)
-    assert np.all(np.abs(got - expect) <= 1e-13 * np.sum(np.abs(A), axis=1))
+    got = chebyshev_series(B, t)
+    expect = np.array([chebval(ti, b) for ti, b in zip(t, B)])
+    assert np.all(np.abs(got - expect) <= 1e-13 * np.sum(np.abs(B), axis=1))

@@ -101,15 +101,18 @@ def test_invert_monotone_bracket_guard_on_given_ends():
 
 
 def test_cdf_solve_reads_bracket_ends_off_the_series():
-    # Chebyshev coefficients of F(t) = (1 + t) / 4: F(-1) = 0 is the
-    # alternating row sum and F(1) = 1/2 the row sum, which misses u = 0.9
+    # Chebyshev coefficients of F(t) = (1 + t) / 4, the CDF of the density
+    # series B = [1/2]: F(-1) = 0 is the alternating row sum and F(1) = 1/2
+    # the row sum, which misses u = 0.9
+    B = np.array([[0.5], [1.0]])
     C = np.array([[0.25, 0.25], [0.5, 0.5]])
+    assert np.array_equal(transport._cdf_series(B), C)
     with pytest.raises(ValueError, match="do not bracket"):
-        transport._invert_cdf(C, np.array([0.9, 0.9]),
-                              lambda T: np.full(T.shape[0], 0.25))
-    t, _ = transport._invert_cdf(C[1:], np.array([0.75]),
-                                 lambda T: np.full(T.shape[0], 0.5))
+        transport._invert_cdf(C, B, np.array([0.9, 0.9]))
+    # F(t) = (1 + t) / 2: the slope F' = B . T / 2 comes off the solve's table
+    t, dF = transport._invert_cdf(C[1:], B[1:], np.array([0.75]))
     assert t == pytest.approx([0.5], abs=1e-14)
+    assert dF.tolist() == [0.5]
 
 
 def test_invert_monotone_unconverged_is_loud():
