@@ -29,7 +29,6 @@ Tt_k' = 2F' with no second series build, which is all
 ``pushforward_density`` needs.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +52,6 @@ from .transport import (
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
-DEFAULT_NODE_BUDGET = 200_000
 
 
 def sqrt_shift_target(transport: ExactTransport, k: int):
@@ -76,15 +74,15 @@ def sqrt_shift_target(transport: ExactTransport, k: int):
     return target
 
 
-def projection_grid(transport: ExactTransport, index_set: IndexSet) -> TensorGrid:
+def projection_grid(index_set: IndexSet, xi) -> TensorGrid:
     """The tensor grid that component index_set.k of the fit projects on.
 
-    Dimensions carrying degree in the set (and the diagonal dimension)
-    get order maxdeg + DEFAULT_MARGIN. Dimensions the set never touches get
-    a single node at 0 -- exact for the linear part of the integrand's
-    dependence -- and are upgraded to 3 nodes greedily by the anisotropy of
-    the target (else the reference), largest first, while the total node
-    count stays within DEFAULT_NODE_BUDGET.
+    The grid follows the index set and its weights xi (at least the first
+    k entries). Dimensions carrying degree in the set (and the diagonal
+    dimension) get order maxdeg + DEFAULT_MARGIN. A dimension j the set
+    never touches gets 3 nodes when a degree-2 term in x_j would carry
+    weight xi_j^-2 >= epsilon, and else a single node at 0, which is exact
+    for the linear part of the integrand's dependence on x_j.
     """
     k = index_set.k
     maxdeg = index_set.max_degree_per_dim()
@@ -92,18 +90,10 @@ def projection_grid(transport: ExactTransport, index_set: IndexSet) -> TensorGri
     for j in range(k):
         if maxdeg[j] > 0 or j == k - 1:
             orders.append(maxdeg[j] + DEFAULT_MARGIN)
+        elif xi[j] ** -2 >= index_set.epsilon:
+            orders.append(3)
         else:
             orders.append(1)
-    total = math.prod(orders)
-    inactive = [j for j in range(k) if orders[j] == 1]
-    b = transport.target.anisotropy or transport.reference.anisotropy
-    if b:
-        inactive.sort(key=lambda j: -b[j])
-    for j in inactive:
-        if total * 3 > DEFAULT_NODE_BUDGET:
-            break
-        orders[j] = 3
-        total *= 3
     return tensor_grid(orders)
 
 
@@ -202,12 +192,15 @@ class RationalComponent:
         return np.clip(2.0 * F - 1.0, -1.0, 1.0)
 
     def deriv(self, x) -> np.ndarray:
-        """d/dx_k Tt_k = 2 q(x_k)^2 / c_k, read off its Chebyshev series."""
+        """d/dx_k Tt_k = 2 q(x_k)^2 / c_k with q summed at the point, so
+        >= 0 (a series of the square rounds below 0 near a root of q)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return np.ones(x.shape[0])
-        s, M, _ = self._square(x[:, :-1])
-        return chebyshev_series(s @ M, x[:, -1])
+        B = self._t_coeffs(x[:, :-1])
+        c = self._c(B)
+        q = np.einsum("mn,mn->m", B, kernels.legendre_table(x[:, -1], B.shape[1] - 1))
+        return q * q * (2.0 / c)
 
     def invert(self, prefix, y):
         """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
@@ -234,13 +227,17 @@ class RationalComponent:
                    lam=lam)
 
 
-def fit_component(transport: ExactTransport, k: int,
-                  lam: IndexSet) -> RationalComponent:
-    """Project sqrt(d/dx_k T_k) - 1 onto the index set to get p_k."""
+def fit_component(transport: ExactTransport, k: int, lam: IndexSet,
+                  xi) -> RationalComponent:
+    """Project sqrt(d/dx_k T_k) - 1 onto the index set lam to get p_k.
+
+    xi holds the weights lam was enumerated with; the projection runs on
+    ``projection_grid(lam, xi)``.
+    """
     if not lam.members:
         return RationalComponent(k=k, p=zero_polynomial(k), lam=lam)
     target = sqrt_shift_target(transport, k)
-    p = project(target, lam, projection_grid(transport, lam))
+    p = project(target, lam, projection_grid(lam, xi))
     return RationalComponent(k=k, p=p, lam=lam)
 
 
@@ -337,8 +334,8 @@ def build_approx_transport(
     exact = exact or ExactTransport(reference=rho, target=pi)
     comps = []
     for k in range(1, d + 1):
-        lam = enumerate_lambda(xi.prefix(k), epsilon)
-        comps.append(fit_component(exact, k, lam))
+        xi_k = xi.prefix(k)
+        comps.append(fit_component(exact, k, enumerate_lambda(xi_k, epsilon), xi_k))
     return ApproxTransport(
         components=tuple(comps), epsilon=epsilon, xi=tuple(xi.xi[:d])
     )

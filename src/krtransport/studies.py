@@ -104,12 +104,12 @@ def fit_rate(n_eps, errors, model: str, d: int = 1) -> RateFit:
     return RateFit(model, float(slope), float(intercept), r2, len(errors))
 
 
-def _sample_points(rng: np.random.Generator, exact: ExactTransport,
-                   n_cloud: int, comp) -> np.ndarray:
-    """Seeded uniform cloud, plus the nodes the fit projected comp on."""
+def _sample_points(rng: np.random.Generator, xi, n_cloud: int,
+                   comp) -> np.ndarray:
+    """Seeded uniform cloud, plus the nodes the fit (weights xi) projected comp on."""
     pts = rng.uniform(-1.0, 1.0, size=(n_cloud, comp.k))
     if comp.lam.members:
-        grid_pts, _ = projection_grid(exact, comp.lam).points_weights()
+        grid_pts, _ = projection_grid(comp.lam, xi).points_weights()
         pts = np.concatenate([pts, grid_pts], axis=0)
     return pts
 
@@ -184,7 +184,7 @@ def convergence_study(
         approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
         sup_t = sup_dt = 0.0
         for k in range(1, d + 1):
-            pts = _sample_points(rng, exact, n_cloud, approx.components[k - 1])
+            pts = _sample_points(rng, approx.xi, n_cloud, approx.components[k - 1])
             et, edt = component_sup_errors(exact, approx, k, pts)
             sup_t = max(sup_t, et)
             sup_dt = max(sup_dt, edt)

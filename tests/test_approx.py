@@ -11,7 +11,6 @@ from numpy.polynomial.legendre import legmul
 
 from krtransport.approx import (
     DEFAULT_MARGIN,
-    DEFAULT_NODE_BUDGET,
     ApproxTransport,
     RationalComponent,
     _square_cdf_matrices,
@@ -22,9 +21,19 @@ from krtransport.approx import (
 )
 from krtransport import transport
 from krtransport.density import linear_density, uniform
-from krtransport.indexsets import IndexSet, WeightVector, enumerate_lambda
+from krtransport.indexsets import (
+    IndexSet,
+    WeightVector,
+    enumerate_lambda,
+    xi_from_anisotropy,
+)
 from krtransport.kernels import legendre_table, poly_eval_tables
-from krtransport.polybasis import SparsePolynomial, canon, zero_polynomial
+from krtransport.polybasis import (
+    SparsePolynomial,
+    canon,
+    chebyshev_series,
+    zero_polynomial,
+)
 from krtransport.quadrature import gauss_legendre
 from krtransport.transport import ExactTransport
 
@@ -33,9 +42,14 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _setup(c=(0.3, 0.2), eps=1e-3, alpha=0.5):
-    from krtransport.indexsets import xi_from_anisotropy
+def _series_deriv(comp, x):
+    """Tt_k' read off the density series that ``invert`` solves on, where
+    its slope comes from (``deriv`` sums q at the point instead)."""
+    s, M, _ = comp._square(x[:, :-1])
+    return chebyshev_series(s @ M, x[:, -1])
 
+
+def _setup(c=(0.3, 0.2), eps=1e-3, alpha=0.5):
     pi = linear_density(list(c))
     rho = uniform(len(c))
     xi = xi_from_anisotropy(pi.anisotropy, alpha)
@@ -102,7 +116,7 @@ def test_component_invert():
     back, dback = comp.invert(np.zeros((11, 0)), y)
     assert np.allclose(back, x[:, 0], atol=1e-10)
     # the derivative comes from the solve's last slope, at the root itself
-    expect = comp.deriv(back[:, None])
+    expect = _series_deriv(comp, back[:, None])
     assert np.max(np.abs(dback - expect) / expect) <= 1e-14
 
 
@@ -138,12 +152,31 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     q = 1.0 + comp.p.eval(pts)
     expect = -1.0 + 4.0 * half * float((q * q) @ rule.weights) / reference
     assert abs(comp.eval(x)[0] - expect) <= 1e-12
+    # Tt_k' = 2 q(x_k)^2 / c_k, with q and c from the same independent sums
+    q = 1.0 + comp.p.eval(x)[0]
+    expect = 2.0 * q * q / reference
+    assert abs(comp.deriv(x)[0] - expect) <= 1e-12 * (1.0 + expect)
     # the solve stops at |Tt(t) - y| <= 1e-12, i.e. |t - x_k| <~ 1e-12 / Tt'
     assume(comp.deriv(x)[0] >= 0.02)
     back, dback = comp.invert(prefix, comp.eval(x))
     assert abs(back[0] - xk) <= 1e-10
-    expect = comp.deriv(np.concatenate([prefix, back[:, None]], axis=1))[0]
+    expect = _series_deriv(comp, np.concatenate([prefix, back[:, None]], axis=1))[0]
     assert abs(dback[0] - expect) <= 1e-14 * expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.9, 0.9), st.lists(_COEFF, min_size=1, max_size=4))
+def test_deriv_is_nonnegative_near_a_root_of_q(root, g):
+    # q = (t - root) g(t) in classical Legendre coefficients, then
+    # orthonormal ones (L_n = sqrt(2n + 1) P_n); p = q - 1
+    a = legmul([-root, 1.0], g)
+    b = a / np.sqrt(2.0 * np.arange(len(a)) + 1.0)
+    assume(2.0 * np.sum(b * b) > 1e-8)  # c_k, the Parseval sum
+    b[0] -= 1.0
+    p = SparsePolynomial(1, {canon((n,)): float(v) for n, v in enumerate(b) if v})
+    comp = RationalComponent(k=1, p=p)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 203), [root]]).reshape(-1, 1)
+    assert np.all(comp.deriv(x) >= 0.0)
 
 
 @pytest.mark.parametrize("n1", range(1, 21))
@@ -325,8 +358,8 @@ def test_density_batch_builds_each_series_once(monkeypatch):
     rho = uniform(2)
     y = _rng(13).uniform(-1.0, 1.0, size=(100, 2))
     x = tmap.inverse(y)
-    expect = rho.evaluate(x) / (tmap.components[0].deriv(x[:, :1])
-                                * tmap.components[1].deriv(x))
+    expect = rho.evaluate(x) / (_series_deriv(tmap.components[0], x[:, :1])
+                                * _series_deriv(tmap.components[1], x))
     t_coeffs = RationalComponent._t_coeffs
     calls = []
 
@@ -356,7 +389,7 @@ def test_fit_component_reduces_with_epsilon():
     errs = []
     for eps in [0.3, 0.05, 0.005]:
         lam = enumerate_lambda(xi, eps)
-        comp = fit_component(exact, 1, lam)
+        comp = fit_component(exact, 1, lam, xi)
         errs.append(float(np.max(np.abs(comp.eval(pts) - exact.component(1, pts)))))
     assert errs[0] > errs[1] > errs[2]
 
@@ -364,7 +397,7 @@ def test_fit_component_reduces_with_epsilon():
 def test_empty_index_set_gives_identity():
     rho, pi, exact, _ = _setup()
     lam = IndexSet(k=1, epsilon=0.9, members=())
-    comp = fit_component(exact, 1, lam)
+    comp = fit_component(exact, 1, lam, WeightVector((3.0,)))
     assert comp.is_identity
 
 
@@ -411,17 +444,32 @@ def test_n_eps_counts_index_sets():
     assert approx.n_eps == total > 0
 
 
-def test_projection_grid_respects_budget():
-    # ten inactive dimensions and a non-monotone anisotropy b: the budget
-    # upgrades the eight with the largest b_j, 11 * 3^8 = 72,171 nodes
+def test_projection_grid_follows_the_weights():
+    # ten inactive dimensions and a non-monotone anisotropy b: exactly the
+    # inactive j whose degree-2 weight xi_j^-2 reaches eps get 3 nodes
     b = [0.1, 0.3, 0.05, 0.2, 0.02, 0.25, 0.01, 0.15, 0.04, 0.3, 0.2]
-    exact = ExactTransport(uniform(11), linear_density(0.5 * np.array(b)))
+    xi = xi_from_anisotropy(b, 0.3)
     lam = IndexSet(k=11, epsilon=0.1, members=((), (0,) * 10 + (1,)))
-    g = projection_grid(exact, lam)
-    assert g.size == 72_171 <= DEFAULT_NODE_BUDGET < 3 * g.size
-    assert [r.n for r in g.rules] == [3, 3, 3, 3, 1, 3, 1, 3, 3, 3, 11]
+    g = projection_grid(lam, xi)
+    upgraded = {j for j in range(10) if g.rules[j].n == 3}
+    assert upgraded == {j for j in range(10) if xi[j] ** -2 >= lam.epsilon}
+    assert [r.n for r in g.rules] == [1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 11]
     # diagonal dimension always resolved
     assert g.rules[-1].n == 1 + DEFAULT_MARGIN
+
+
+def test_projection_grids_of_the_truncation_sweep():
+    # the d = 32 sweep of acceptance criterion 6: its nonempty components
+    # project on 4,525 nodes in total
+    c = 0.5 * 6 / np.pi**2 * np.arange(1, 33, dtype=np.float64) ** -3.0
+    xi = xi_from_anisotropy(c, 1.0)
+    total = 0
+    for eps in [3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4]:
+        for k in range(1, 33):
+            lam = enumerate_lambda(xi.prefix(k), eps)
+            if lam.members:
+                total += projection_grid(lam, xi).size
+    assert total == 4_525
 
 
 def test_weight_vector_length_guard():

@@ -210,9 +210,10 @@ def test_truncation_study_solves_reference_once(monkeypatch):
 
 
 def test_study_samples_the_nodes_the_fit_projected_on(monkeypatch):
-    # b is not monotone and the node budget binds (11 * 3^8 nodes), so the
-    # upgraded inactive dimensions follow the target's anisotropy
+    # b is not monotone, so the inactive dimensions that get 3 nodes
+    # (xi_j^-2 >= eps) are not a prefix: 11 * 3^5 nodes
     b = [0.1, 0.3, 0.05, 0.2, 0.02, 0.25, 0.01, 0.15, 0.04, 0.3, 0.2]
+    xi = xi_from_anisotropy(b, 0.3)
     exact = ExactTransport(uniform(11), linear_density(0.5 * np.array(b)))
     lam = IndexSet(k=11, epsilon=0.1, members=((), (0,) * 10 + (1,)))
     grids = []
@@ -222,10 +223,10 @@ def test_study_samples_the_nodes_the_fit_projected_on(monkeypatch):
         return zero_polynomial(index_set.k)
 
     monkeypatch.setattr(approx_module, "project", record)
-    comp = approx_module.fit_component(exact, 11, lam)
+    comp = approx_module.fit_component(exact, 11, lam, xi)
     fit_nodes, _ = grids[0].points_weights()
-    assert fit_nodes.shape == (72_171, 11)
-    pts = studies._sample_points(rng_from_seed(0), exact, 5, comp)
+    assert fit_nodes.shape == (2_673, 11)
+    pts = studies._sample_points(rng_from_seed(0), xi, 5, comp)
     assert np.array_equal(pts[5:], fit_nodes)
 
 
