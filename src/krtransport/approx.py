@@ -22,7 +22,10 @@ of the density Tt_k' = 2 q^2 / c_k. That density has degree 2N, so its
 values at 2N+1 Chebyshev-Lobatto points give its exact Chebyshev series
 and, through the Chebyshev antiderivative, that of F: the recipe the exact
 transport uses for its conditional series (``transport._lobatto_rule``
-and ``transport._cdf_series``), here as two cached matrices. The exact
+and ``transport._cdf_series``), here as two cached matrices. When no
+term of p_k has a nonzero exponent in x_<k (always for k = 1), q, c_k
+and both series do not depend on the prefix: the component builds them
+once, as one row that serves every point of every batch. The exact
 transport's series solver inverts F and reads F' off the density series
 at the root, so the inverse map yields the diagonal derivatives
 Tt_k' = 2F' with no second series build, which is all
@@ -30,7 +33,7 @@ Tt_k' = 2F' with no second series build, which is all
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,22 +176,47 @@ class RationalComponent:
         return self._c(self._t_coeffs(prefix))
 
     def _square(self, prefix: np.ndarray):
-        """(s, M, MC): s (m, n) holds Tt_k' = 2 q^2 / c_k on the n points of
-        ``_square_cdf_matrices``, so s @ M is its Chebyshev series in t and
-        s @ MC that of the CDF F, Tt_k = 2F - 1."""
+        """(B, c, C, S) per row of prefix: B = ``_t_coeffs``, c_k, and the
+        Chebyshev series C of the CDF F (Tt_k = 2F - 1) and S of the density
+        Tt_k' = 2 q^2 / c_k, from that density's values s on the points of
+        ``_square_cdf_matrices``: C = s @ MC, S = s @ M."""
         B = self._t_coeffs(prefix)
         c = self._c(B)
         L, M, MC = _square_cdf_matrices(B.shape[1])
         q = B @ L
-        return q * q * (2.0 / c)[:, None], M, MC
+        s = q * q * (2.0 / c)[:, None]
+        return B, c, s @ MC, s @ M
+
+    @cached_property
+    def _one_row(self):
+        """``_square`` of a single row when p ignores the prefix, else None.
+
+        p ignores x_<k when no term has a nonzero head exponent (always for
+        k = 1); then Tt_k is one 1d map and this one row serves every point
+        of every batch, built at first use, read-only. ``_c`` raises on a
+        degenerate or overflowing c_k, and cached_property caches no
+        exception, so every call raises again.
+        """
+        if self.p.t_series[0].any():
+            return None
+        one = self._square(np.zeros((1, self.k - 1)))
+        for a in one:
+            a.setflags(write=False)
+        return one
+
+    def _series(self, prefix: np.ndarray):
+        """(C, S) of ``_square``: one row for all points if p ignores the
+        prefix, else one per row of prefix."""
+        one = self._one_row
+        return one[2:] if one is not None else self._square(prefix)[2:]
 
     def eval(self, x) -> np.ndarray:
         """Tt_k = 2F - 1 at points x of shape (m, k), clipped into [-1, 1]."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return x[:, -1].copy()
-        s, _, MC = self._square(x[:, :-1])
-        F = chebyshev_series(s @ MC, x[:, -1])
+        C, _ = self._series(x[:, :-1])
+        F = chebyshev_series(C, x[:, -1])
         return np.clip(2.0 * F - 1.0, -1.0, 1.0)
 
     def deriv(self, x) -> np.ndarray:
@@ -197,21 +225,31 @@ class RationalComponent:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.is_identity:
             return np.ones(x.shape[0])
-        B = self._t_coeffs(x[:, :-1])
-        c = self._c(B)
+        one = self._one_row
+        if one is None:
+            B = self._t_coeffs(x[:, :-1])
+            one = B, self._c(B)
+        B, c = one[:2]
         q = np.einsum("mn,mn->m", B, kernels.legendre_table(x[:, -1], B.shape[1] - 1))
         return q * q * (2.0 / c)
 
     def invert(self, prefix, y):
         """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
         CDF series, and Tt_k' = 2F' from the slope the solve reads off the
-        density series at its root."""
+        density series at its root. y = +-1 gives t = +-1 exactly, with the
+        slope of the density series there."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
             return y.copy(), np.ones(y.shape[0])
-        s, M, MC = self._square(prefix)
-        t, dF = _invert_cdf(s @ MC, s @ M, 0.5 * (y + 1.0))
+        C, S = self._series(prefix)
+        t, dF = _invert_cdf(C, S, 0.5 * (y + 1.0))
+        # the solve resolves F to DEFAULT_ROOT_TOL only
+        end = np.abs(y) == 1.0
+        if np.any(end):
+            t[end] = y[end]
+            S = np.broadcast_to(S, (y.shape[0], S.shape[1]))
+            dF[end] = 0.5 * chebyshev_series(S[end], t[end])
         return t, 2.0 * dF
 
     def to_json(self) -> dict:

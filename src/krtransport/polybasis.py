@@ -177,7 +177,8 @@ def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
 def chebyshev_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:
     """q_i(t_i) = sum_n B[i, n] T_n(t_i), one 1d Chebyshev series per row of B.
 
-    t is (m,) or (m, s); the result has the shape of t.
+    t is (m,) or (m, s); the result has the shape of t. B may also be one
+    row, which then serves every point.
     """
     n1 = B.shape[1]
     table = chebyshev_table(t.ravel(), n1 - 1).reshape(t.shape + (n1,))

@@ -101,6 +101,7 @@ def _invert_cdf(C: np.ndarray, B: np.ndarray, u):
     C (m, n + 1): Chebyshev coefficients of CDFs with F(-1) = 0 and F(1) = 1
     up to rounding, the half antiderivatives (``_cdf_series``) of the
     density series B (m, n), so F' = B . T / 2; u is clipped into [0, 1].
+    C and B may also be one row, which then serves every entry of u.
     The bracket ends are read off C (T_n(1) = 1, T_n(-1) = (-1)^n), not
     evaluated. Each Newton step builds one table and reads F and F' off it;
     only F' at the latest t is kept, so no table outlives its step (holding

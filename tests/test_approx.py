@@ -45,8 +45,8 @@ def _rng(seed=0):
 def _series_deriv(comp, x):
     """Tt_k' read off the density series that ``invert`` solves on, where
     its slope comes from (``deriv`` sums q at the point instead)."""
-    s, M, _ = comp._square(x[:, :-1])
-    return chebyshev_series(s @ M, x[:, -1])
+    _, S = comp._series(x[:, :-1])
+    return chebyshev_series(S, x[:, -1])
 
 
 def _setup(c=(0.3, 0.2), eps=1e-3, alpha=0.5):
@@ -241,12 +241,17 @@ def test_non_finite_coefficient_is_rejected_when_read(coeff):
 @pytest.mark.parametrize("coeff", [1e300, float("nan")])
 def test_non_finite_normalization_names_the_component(coeff):
     # c_k = 2 sum b_n^2 overflows to inf for a 1e300 coefficient; a NaN
-    # fails the comparison with the floor as well
-    comp = RationalComponent(2, SparsePolynomial(2, {(0, 1): coeff}))
-    x = np.array([[0.1, 0.2]])
-    for call in (comp.eval, comp.deriv, lambda x: comp.invert(x[:, :1], x[:, 1])):
-        with pytest.raises(ValueError, match="normalization in component 2"):
-            call(x)
+    # fails the comparison with the floor as well. The first two p ignore
+    # the prefix, so their one cached row raises, and again on every call
+    # (an exception is not cached); the third reads x_1
+    for k, nu in [(1, (1,)), (2, (0, 1)), (2, (1, 1))]:
+        comp = RationalComponent(k, SparsePolynomial(k, {nu: coeff}))
+        x = np.array([[0.1, 0.2]])[:, -k:]
+        calls = (comp.eval, comp.deriv,
+                 lambda x: comp.invert(x[:, :-1], x[:, -1]))
+        for call in calls + calls:
+            with pytest.raises(ValueError, match=f"normalization in component {k}"):
+                call(x)
 
 
 def _t_coeffs_term_by_term(p, prefix):
@@ -266,11 +271,13 @@ def _t_coeffs_term_by_term(p, prefix):
 
 
 @st.composite
-def _component_and_prefixes(draw):
-    """k = 1..4; heads on a random subset of the prefix coordinates, which
-    may be empty (only last exponents); no terms gives the identity."""
-    k = draw(st.integers(1, 4))
-    used = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+def _component_and_prefixes(draw, prefix_free=False, kmax=4):
+    """k = 1..kmax; heads on a random subset of the prefix coordinates,
+    which may be empty (only last exponents) and is when prefix_free; no
+    terms gives the identity."""
+    k = draw(st.integers(1, kmax))
+    used = [False] * (k - 1) if prefix_free else draw(
+        st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
     head = st.tuples(*[st.integers(0, 4) if u else st.just(0) for u in used])
     nus = st.tuples(head, st.integers(0, 5)).map(lambda hn: hn[0] + (hn[1],))
     terms = draw(st.dictionaries(nus, _COEFF, max_size=12))
@@ -353,7 +360,9 @@ def test_density_batch_root_solve_count(monkeypatch):
 
 def test_density_batch_builds_each_series_once(monkeypatch):
     # the inverse solve hands back the diagonal derivatives, so a density
-    # batch builds B once per component instead of again in diag_deriv
+    # batch builds B once per component instead of again in diag_deriv;
+    # component 1's p ignores the prefix, so its one row was built by the
+    # inverse above and the batch builds only component 2's
     tmap = _map_eval_2d()
     rho = uniform(2)
     y = _rng(13).uniform(-1.0, 1.0, size=(100, 2))
@@ -369,8 +378,86 @@ def test_density_batch_builds_each_series_once(monkeypatch):
 
     monkeypatch.setattr(RationalComponent, "_t_coeffs", counted)
     got = transport.pushforward_density(tmap, rho, y)
-    assert calls == [1, 2]
+    assert calls == [2]
     assert np.array_equal(got, expect)
+
+
+def _normalizable(comp, prefix):
+    """c_k > 1e-8 at every row of prefix, without ``_c``'s raise."""
+    B = comp._t_coeffs(prefix)
+    return bool(np.all(2.0 * np.sum(B * B, axis=1) > 1e-8))
+
+
+def _per_row(comp):
+    """comp with its series built per row (``_square``), the route of a
+    component whose p reads the prefix, whatever p is."""
+    ref = RationalComponent(comp.k, comp.p, comp.lam)
+    object.__setattr__(ref, "_one_row", None)  # shadows the cached_property
+    return ref
+
+
+def test_prefix_free_component_builds_its_series_once(monkeypatch):
+    # component 1 always ignores the prefix, and component 2 of the
+    # benchmark's map reads it
+    square = RationalComponent._square
+    calls = []
+
+    def counted(self, prefix):
+        calls.append((self.k, prefix.shape[0]))
+        return square(self, prefix)
+
+    monkeypatch.setattr(RationalComponent, "_square", counted)
+    x = _rng(16).uniform(-1.0, 1.0, size=(50, 2))
+    for comp in _map_eval_2d().components:
+        for _ in range(2):
+            y = comp.eval(x[:, : comp.k])
+            comp.invert(x[:, : comp.k - 1], y)
+    assert calls == [(1, 1)] + [(2, 50)] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(_component_and_prefixes(prefix_free=True),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_prefix_free_row_matches_the_per_row_series(comp_prefix, xk):
+    comp, prefix = comp_prefix
+    assume(not comp.is_identity and _normalizable(comp, prefix))
+    ref = _per_row(comp)
+    assert comp._one_row is not None
+    x = np.concatenate([prefix, np.array(xk[: prefix.shape[0]])[:, None]], axis=1)
+
+    def close(got, expect):
+        return np.all(np.abs(got - expect) <= 1e-14 * (1.0 + np.abs(expect)))
+
+    y = ref.eval(x)
+    assert close(comp.eval(x), y)
+    assert close(comp.deriv(x), ref.deriv(x))
+    # the root solves the per-row F(t) = (y + 1) / 2 to the solve's 1e-12
+    # (two routes can stop at different points within it: 3.6e-13 apart
+    # near y = -1 for p = 311.7 L_2), and its slope is the per-row density
+    # series there
+    t, dt = comp.invert(prefix, y)
+    x = np.concatenate([prefix, t[:, None]], axis=1)
+    assert np.all(np.abs(ref.eval(x) - y) <= 2e-12 + 1e-14)
+    assert close(dt, _series_deriv(ref, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(
+           lambda free: _component_and_prefixes(prefix_free=free, kmax=3)),
+       st.sampled_from([-1.0, 1.0]))
+def test_invert_pins_the_ends(comp_prefix, end):
+    # the solve resolves F to 1e-12 only; y_k = +-1 is x_k = +-1 exactly,
+    # and eval maps it back to within rounding of +-1
+    comp, prefix = comp_prefix
+    assume(_normalizable(comp, prefix))
+    y = np.full(prefix.shape[0], end)
+    t, dt = comp.invert(prefix, y)
+    assert np.all(t == end)
+    x = np.concatenate([prefix, t[:, None]], axis=1)
+    assert np.all(np.abs(comp.eval(x) - end) <= 1e-14)
+    # the slope is the density's at +-1, where the root now is
+    if not comp.is_identity:
+        assert np.array_equal(dt, _series_deriv(comp, x))
 
 
 def test_sqrt_shift_target_identity_is_zero():
