@@ -29,7 +29,12 @@ once, as one row that serves every point of every batch. The exact
 transport's series solver inverts F and reads F' off the density series
 at the root, so the inverse map yields the diagonal derivatives
 Tt_k' = 2F' with no second series build, which is all
-``pushforward_density`` needs.
+``pushforward_density`` needs. The inverse map needs one solve per
+sequential step, not one per component: the step of component k is one
+more than the largest step among the prefix coordinates p_k reads (an
+identity component has step 0), and the components that share a step
+and a series length are solved together, their series stacked into one
+root solve, in batches of up to GROUP_MAX_POINTS points.
 """
 
 from dataclasses import dataclass
@@ -55,6 +60,12 @@ from .transport import (
 
 DEGENERATE_C_FLOOR = 1e-14
 DEFAULT_MARGIN = 10
+# batches of more points solve a group's components one at a time: there the
+# per-solve overhead that stacking saves is small, and stacking copies each
+# one-row series (p ignores the prefix) to a row per point. The crossover was
+# between 1,000 and 1,500 points on the d = 3 posterior and d = 32 truncation
+# maps (2 cores, numpy 2.4.6).
+GROUP_MAX_POINTS = 1024
 
 
 def sqrt_shift_target(transport: ExactTransport, k: int):
@@ -234,23 +245,14 @@ class RationalComponent:
         return q * q * (2.0 / c)
 
     def invert(self, prefix, y):
-        """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: F(t) = (y + 1) / 2 on the
-        CDF series, and Tt_k' = 2F' from the slope the solve reads off the
-        density series at its root. y = +-1 gives t = +-1 exactly, with the
-        slope of the density series there."""
+        """(t, Tt_k'(t)) with Tt_k(prefix, t) = y: ``_invert_group`` of this
+        component alone."""
         prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if self.is_identity:
             return y.copy(), np.ones(y.shape[0])
-        C, S = self._series(prefix)
-        t, dF = _invert_cdf(C, S, 0.5 * (y + 1.0))
-        # the solve resolves F to DEFAULT_ROOT_TOL only
-        end = np.abs(y) == 1.0
-        if np.any(end):
-            t[end] = y[end]
-            S = np.broadcast_to(S, (y.shape[0], S.shape[1]))
-            dF[end] = 0.5 * chebyshev_series(S[end], t[end])
-        return t, 2.0 * dF
+        t, dt = _invert_group((self,), prefix, y[:, None])
+        return t[:, 0], dt[:, 0]
 
     def to_json(self) -> dict:
         out = {"k": self.k, "p_coeffs": self.p.to_json()}
@@ -263,6 +265,48 @@ class RationalComponent:
         lam = IndexSet.from_json(obj["lambda"]) if "lambda" in obj else None
         return cls(k=int(obj["k"]), p=SparsePolynomial.from_json(obj["p_coeffs"]),
                    lam=lam)
+
+
+def _invert_group(comps, x, Y):
+    """(t, Tt_k'(t)), each (m, K): the roots of the K non-identity components
+    comps at the targets Y (m, K), their prefixes read off the solved
+    columns of x (m, >= k - 1).
+
+    One ``_invert_cdf`` call solves F(t) = (y + 1) / 2 on the components'
+    CDF series, stacked one component after another (a single component's
+    series go in as they are, one row if its p ignores the prefix), and
+    Tt_k' = 2F' comes from the slope the solve reads off the density series
+    at its root. The solve resolves F to DEFAULT_ROOT_TOL only: y = +-1
+    gives t = +-1 exactly, with the slope of the density series there,
+    pinned one component at a time so that it rounds as a lone solve's.
+    A batch of more than GROUP_MAX_POINTS points solves each component alone.
+    """
+    m, K = Y.shape
+    if K > 1 and m > GROUP_MAX_POINTS:
+        parts = [_invert_group((c,), x, Y[:, i:i + 1]) for i, c in enumerate(comps)]
+        return tuple(np.hstack(a) for a in zip(*parts))
+    series = [c._series(x[:, : c.k - 1]) for c in comps]
+    if K == 1:
+        C, S = series[0]
+    else:  # a one-row series fills all m rows of its component
+        C, S = (np.concatenate([np.broadcast_to(a, (m, a.shape[1])) for a in arrs])
+                for arrs in zip(*series))
+    t, dF = _invert_cdf(C, S, 0.5 * (Y.T.ravel() + 1.0))
+    t, dF = t.reshape(K, m), dF.reshape(K, m)
+    end = np.abs(Y.T) == 1.0
+    if np.any(end):
+        for (_, S), e, y, tk, dk in zip(series, end, Y.T, t, dF):
+            tk[e] = y[e]
+            dk[e] = 0.5 * chebyshev_series(np.broadcast_to(S, (m, S.shape[1]))[e], y[e])
+    return t.T, 2.0 * dF.T
+
+
+def _columns(cols):
+    """The column indices cols (increasing) as a slice when they are a run,
+    so that a group reads and writes its columns as views, not copies."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols)
 
 
 def fit_component(transport: ExactTransport, k: int, lam: IndexSet,
@@ -330,15 +374,40 @@ class ApproxTransport:
         x = self._pullback(y[None, :] if single else y)[0]
         return x[0] if single else x
 
+    @cached_property
+    def _groups(self):
+        """((comps, cols), ...): the non-identity components in groups that
+        share a solve step and a series length, in increasing step, with
+        their column indices.
+
+        The step of component k is 1 + the largest step among the prefix
+        coordinates its p_k reads, the nonzero columns of H in
+        ``p.t_series``; an identity component has step 0 (x_k = y_k). So
+        every coordinate a group reads is solved by an earlier step. Built
+        at first use from (H, W) alone, no series.
+        """
+        steps, groups = [], {}
+        for c in self.components:
+            if c.is_identity:
+                steps.append(0)
+                continue
+            H, W = c.p.t_series
+            steps.append(1 + max((steps[j] for j in np.flatnonzero(H.any(axis=0))),
+                                 default=0))
+            groups.setdefault((steps[-1], W.shape[1]), []).append(c)
+        return tuple((tuple(g), _columns([c.k - 1 for c in g]))
+                     for _, g in sorted(groups.items()))
+
     def _pullback(self, y):
         """(x, D): x = Tt^{-1}(y) at points y (m, d), and D (m, d) the
-        diagonal of dTt at x, read off the component inversions."""
+        diagonal of dTt at x, read off the root solves: one
+        ``_invert_group`` call per group of ``_groups``, in order, with
+        x_k = y_k and D_k = 1 at an identity component."""
         _check_points(y, self.d)
-        x = np.empty_like(y)
-        D = np.empty_like(y)
-        for k in range(1, y.shape[1] + 1):
-            x[:, k - 1], D[:, k - 1] = self.components[k - 1].invert(
-                x[:, : k - 1], y[:, k - 1])
+        x = y.copy()
+        D = np.ones_like(y)
+        for comps, cols in self._groups:
+            x[:, cols], D[:, cols] = _invert_group(comps, x, y[:, cols])
         return x, D
 
     def to_json(self) -> dict:

@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import legmul
 
 from krtransport.approx import (
     DEFAULT_MARGIN,
+    GROUP_MAX_POINTS,
     ApproxTransport,
     RationalComponent,
     _square_cdf_matrices,
@@ -239,7 +240,7 @@ def test_non_finite_coefficient_is_rejected_when_read(coeff):
 
 
 @pytest.mark.parametrize("coeff", [1e300, float("nan")])
-def test_non_finite_normalization_names_the_component(coeff):
+def test_non_finite_normalization_names_the_component(coeff, tmp_path, capsys):
     # c_k = 2 sum b_n^2 overflows to inf for a 1e300 coefficient; a NaN
     # fails the comparison with the floor as well. The first two p ignore
     # the prefix, so their one cached row raises, and again on every call
@@ -252,6 +253,40 @@ def test_non_finite_normalization_names_the_component(coeff):
         for call in calls + calls:
             with pytest.raises(ValueError, match=f"normalization in component {k}"):
                 call(x)
+    # component 3 shares one root solve with component 2 (both ignore the
+    # prefix and have two terms in t): the inverse still names component 3
+    tmap = ApproxTransport((
+        RationalComponent(1, zero_polynomial(1)),
+        RationalComponent(2, SparsePolynomial(2, {(0, 1): 0.3})),
+        RationalComponent(3, SparsePolynomial(3, {(0, 0, 1): coeff})),
+    ))
+    assert [[c.k for c in g] for g, _ in tmap._groups] == [[2, 3]]
+    y = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6]])
+    for call in (tmap.inverse,
+                 lambda y: transport.pushforward_density(tmap, uniform(3), y)):
+        with pytest.raises(ValueError, match="normalization in component 3"):
+            call(y)
+    # through the CLI: exit 3 naming the component; a NaN is already
+    # rejected when the map file is read (exit 2)
+    from krtransport.cli import main
+
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(tmap.to_json()))
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({
+        "reference": {"family": "uniform", "d": 3},
+        "target": {"family": "linear", "c": [0.3, 0.2, 0.1]},
+        "mode": "approx", "inverse": True, "map_file": str(map_file),
+        "points": y.tolist(),
+    }))
+    capsys.readouterr()
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "transport", "eval"])
+    err = json.loads(capsys.readouterr().err)
+    if np.isfinite(coeff):
+        assert rc == 3 and err["kind"] == "numerical"
+        assert "normalization in component 3" in err["error"]
+    else:
+        assert rc == 2 and "non-finite coefficient" in err["error"]
 
 
 def _t_coeffs_term_by_term(p, prefix):
@@ -458,6 +493,127 @@ def test_invert_pins_the_ends(comp_prefix, end):
     # the slope is the density's at +-1, where the root now is
     if not comp.is_identity:
         assert np.array_equal(dt, _series_deriv(comp, x))
+
+
+def _pullback_per_component(tmap, y):
+    """(x, D) of ``_pullback`` one component at a time: its series, one
+    root solve and the +-1 pin, in the order k = 1..d."""
+    x, D = y.copy(), np.ones_like(y)
+    for comp in tmap.components:
+        if comp.is_identity:
+            continue
+        k, yk = comp.k, y[:, comp.k - 1]
+        C, S = comp._series(x[:, : k - 1])
+        t, dF = transport._invert_cdf(C, S, 0.5 * (yk + 1.0))
+        end = np.abs(yk) == 1.0
+        t[end] = yk[end]
+        S = np.broadcast_to(S, (yk.shape[0], S.shape[1]))
+        dF[end] = 0.5 * chebyshev_series(S[end], yk[end])
+        x[:, k - 1], D[:, k - 1] = t, 2.0 * dF
+    return x, D
+
+
+@st.composite
+def _map_and_points(draw):
+    """A map of d = 2..5 components, each the identity, prefix-free or
+    reading a random subset of its prefix, with last exponents up to 2 so
+    that components of one solve step often share a series length; and a
+    batch of m = 0 or 2..5 points with many coordinates at +-1."""
+    d = draw(st.integers(2, 5))
+    comps = []
+    for k in range(1, d + 1):
+        kind = draw(st.sampled_from(["identity", "free", "reads"]))
+        terms = {}
+        if kind != "identity":
+            used = [kind == "reads" and draw(st.booleans()) for _ in range(k - 1)]
+            head = st.tuples(*[st.integers(0, 2) if u else st.just(0) for u in used])
+            nus = st.tuples(head, st.integers(0, 2)).map(lambda hn: hn[0] + (hn[1],))
+            terms = draw(st.dictionaries(nus, st.floats(-1.0, 1.0), min_size=1,
+                                         max_size=6))
+        comps.append(RationalComponent(k, SparsePolynomial(
+            k, {canon(nu): c for nu, c in terms.items()})))
+    m = draw(st.sampled_from([2, 3, 5, 0]))
+    coord = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+    flat = draw(st.lists(coord, min_size=m * d, max_size=m * d))
+    return ApproxTransport(tuple(comps)), np.array(flat).reshape(m, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_points())
+def test_grouped_pullback_matches_one_solve_per_component(map_points):
+    # a group's rows solve as they would alone, so x and D are bitwise
+    # those of one solve per component for batches of m != 1 points
+    tmap, y = map_points
+    try:
+        x_ref, D_ref = _pullback_per_component(tmap, y)
+    except ValueError:  # a c_k at the floor or a CDF that does not bracket
+        with pytest.raises(ValueError):
+            tmap._pullback(y)
+        return
+    x, D = tmap._pullback(y)
+    assert np.array_equal(x, x_ref) and np.array_equal(D, D_ref)
+    # every prefix a group reads is solved by an earlier group
+    done = {c.k for c in tmap.components if c.is_identity}
+    for comps, cols in tmap._groups:
+        assert np.arange(tmap.d)[cols].tolist() == [c.k - 1 for c in comps]
+        for c in comps:
+            reads = np.flatnonzero(c.p.t_series[0].any(axis=0)) + 1
+            assert set(reads.tolist()) <= done
+        done |= {c.k for c in comps}
+    assert done == set(range(1, tmap.d + 1))
+
+
+def _truncation_map():
+    """The d = 32 truncation sweep's finest map cut to d = 12 (the same
+    components 1..10, the rest identities), N_eps = 44."""
+    from krtransport.studies import truncation_target
+
+    pi = truncation_target(0.5 * 6 / np.pi**2, 3.0, 12)
+    tmap = build_approx_transport(uniform(12), pi,
+                                  xi_from_anisotropy(pi.anisotropy, 1.0), 3e-4)
+    assert tmap.n_eps == 44
+    return tmap
+
+
+def _posterior_map():
+    """The map of the d = 3 posterior demo (alpha 2, epsilon 0.1)."""
+    from krtransport.density import gaussian_posterior
+
+    pi = gaussian_posterior([[1.0, 0.5, 0.25]], [0.3], 0.5)
+    return build_approx_transport(uniform(3), pi,
+                                  xi_from_anisotropy(pi.anisotropy, 2.0), 0.1)
+
+
+@pytest.mark.parametrize("build, groups", [
+    (_truncation_map, [[7, 8, 9, 10], [1], [4, 5, 6], [2], [3]]),
+    (_posterior_map, [[2, 3], [1]]),
+    (_map_eval_2d, [[1], [2]]),
+], ids=["truncation_d12", "posterior_d3", "map_eval_2d"])
+def test_density_batch_solves_once_per_group(monkeypatch, build, groups):
+    # components that share a solve step and a series length share one
+    # root solve: 5 solves for the 10 nonidentity truncation components.
+    # A batch of more than GROUP_MAX_POINTS points solves them one at a time
+    tmap = build()
+    calls = []
+
+    def counted(C, S, u):
+        calls.append(u.shape[0])
+        return transport._invert_cdf(C, S, u)
+
+    monkeypatch.setattr("krtransport.approx._invert_cdf", counted)
+    y = _rng(17).uniform(-1.0, 1.0, size=(100, tmap.d))
+    q = transport.pushforward_density(tmap, uniform(tmap.d), y)
+    assert calls == [100 * len(g) for g in groups]
+    assert [[c.k for c in g] for g, _ in tmap._groups] == groups
+    assert np.all(np.isfinite(q)) and np.all(q > 0)
+    m = GROUP_MAX_POINTS + 1
+    y = _rng(18).uniform(-1.0, 1.0, size=(m, tmap.d))
+    y[::7, -1] = 1.0
+    calls.clear()
+    x, D = tmap._pullback(y)
+    assert calls == [m] * sum(len(g) for g in groups)
+    x_ref, D_ref = _pullback_per_component(tmap, y)
+    assert np.array_equal(x, x_ref) and np.array_equal(D, D_ref)
 
 
 def test_sqrt_shift_target_identity_is_zero():
