@@ -34,7 +34,12 @@ sequential step, not one per component: the step of component k is one
 more than the largest step among the prefix coordinates p_k reads (an
 identity component has step 0), and the components that share a step
 and a series length are solved together, their series stacked into one
-root solve, in batches of up to GROUP_MAX_POINTS points.
+root solve, in batches of up to GROUP_MAX_POINTS points. A component
+whose p ignores the prefix is one fixed 1d map, so at its first inversion
+it tabulates its CDF at INVERSE_NODES points, and its roots start from
+that table instead of the regula-falsi point: 2 evaluations of F per root
+on the benchmark's maps, not 4-5. The table decides only where Newton
+begins; the solve's bracket and tolerance are those of every other root.
 """
 
 from dataclasses import dataclass
@@ -66,6 +71,10 @@ DEFAULT_MARGIN = 10
 # between 1,000 and 1,500 points on the d = 3 posterior and d = 32 truncation
 # maps (2 cores, numpy 2.4.6).
 GROUP_MAX_POINTS = 1024
+# equispaced nodes of the CDF table a prefix-free component starts its root
+# solves from: with 1025, a root takes 2 F evaluations on the benchmark's
+# maps; 257 cost one more, and 4097 saved none
+INVERSE_NODES = 1025
 
 
 def sqrt_shift_target(transport: ExactTransport, k: int):
@@ -215,6 +224,20 @@ class RationalComponent:
             a.setflags(write=False)
         return one
 
+    @cached_property
+    def _inverse_table(self):
+        """(F, t): the CDF F of a component whose p ignores the prefix at
+        INVERSE_NODES equispaced t in [-1, 1], made nondecreasing, from the
+        series of ``_one_row``. ``_invert_group`` starts each root at
+        np.interp(u, F, t); built at the first inversion, read-only.
+        """
+        C = self._one_row[2]
+        t = np.linspace(-1.0, 1.0, INVERSE_NODES)
+        F = np.maximum.accumulate(kernels.chebyshev_table(t, C.shape[1] - 1) @ C[0])
+        F.setflags(write=False)
+        t.setflags(write=False)
+        return F, t
+
     def _series(self, prefix: np.ndarray):
         """(C, S) of ``_square``: one row for all points if p ignores the
         prefix, else one per row of prefix."""
@@ -276,9 +299,12 @@ def _invert_group(comps, x, Y):
     CDF series, stacked one component after another (a single component's
     series go in as they are, one row if its p ignores the prefix), and
     Tt_k' = 2F' comes from the slope the solve reads off the density series
-    at its root. The solve resolves F to DEFAULT_ROOT_TOL only: y = +-1
-    gives t = +-1 exactly, with the slope of the density series there,
-    pinned one component at a time so that it rounds as a lone solve's.
+    at its root. When every component's p ignores the prefix, each root
+    starts from its component's ``_inverse_table``, else at the
+    regula-falsi point of [-1, 1]. The solve resolves F to DEFAULT_ROOT_TOL
+    only: y = +-1 gives t = +-1 exactly, with the slope of the density
+    series there, pinned one component at a time so that it rounds as a
+    lone solve's.
     A batch of more than GROUP_MAX_POINTS points solves each component alone.
     """
     m, K = Y.shape
@@ -291,7 +317,12 @@ def _invert_group(comps, x, Y):
     else:  # a one-row series fills all m rows of its component
         C, S = (np.concatenate([np.broadcast_to(a, (m, a.shape[1])) for a in arrs])
                 for arrs in zip(*series))
-    t, dF = _invert_cdf(C, S, 0.5 * (Y.T.ravel() + 1.0))
+    u = 0.5 * (Y.T.ravel() + 1.0)
+    start = None
+    if all(c._one_row is not None for c in comps):
+        start = np.concatenate([np.interp(uk, *c._inverse_table)
+                                for c, uk in zip(comps, u.reshape(K, m))])
+    t, dF = _invert_cdf(C, S, u, start)
     t, dF = t.reshape(K, m), dF.reshape(K, m)
     end = np.abs(Y.T) == 1.0
     if np.any(end):

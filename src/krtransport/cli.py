@@ -27,8 +27,8 @@ from .metrics import distance_report, pushforward_distance
 from .quadrature import uniform_grid
 from .studies import (
     _distance_grid_order,
+    _posterior_demo,
     convergence_study,
-    posterior_demo,
     records_to_csv,
     rng_from_seed,
     truncation_study,
@@ -393,11 +393,7 @@ def _cmd_study_posterior(cfg: _Config, out_dir: Path, seed):
     alpha = cfg.take_as("alpha", _positive, 1.0)
     grid_order = cfg.take_as("distance_grid_order", _count, None)
     cfg.finish()
-    report = posterior_demo(
-        pi.params["A"], pi.params["varsigma"], pi.params["sigma"], eps,
-        n_samples=n_samples, seed=seed, alpha=alpha,
-        distance_grid_order=grid_order,
-    )
+    report = _posterior_demo(pi, eps, n_samples, seed, alpha, grid_order)
     _write_json(out_dir, "posterior.json", report.to_json())
     (out_dir / "posterior_samples.csv").write_text(_samples_csv(report.samples))
     print(f"wrote {out_dir / 'posterior.json'}")

@@ -46,15 +46,22 @@ def chebyshev_table(x: np.ndarray, nmax: int) -> np.ndarray:
     the same (its x + 0.0 included, which turns -0.0 into 0.0).
     """
     x = np.asarray(x, dtype=np.float64) + 0.0
-    # filled as (nmax+1, npts): each recurrence step writes a contiguous row
+    # filled as (nmax+1, npts): each recurrence step writes a contiguous row,
+    # indexed once and kept as a view for the next two steps (a list of all
+    # row views cost more than it saved on the 2- and 3-row tables of the
+    # exact transport's linear densities)
     out = np.empty((nmax + 1, x.shape[0]))
-    out[0] = 1.0
+    prev = out[0]
+    prev[...] = 1.0
     if nmax >= 1:
-        out[1] = x
+        cur = out[1]
+        cur[...] = x
         x2 = 2.0 * x
-    for n in range(1, nmax):
-        np.multiply(out[n], x2, out=out[n + 1])
-        out[n + 1] -= out[n - 1]
+    for n in range(2, nmax + 1):
+        row = out[n]
+        np.multiply(cur, x2, out=row)
+        np.subtract(row, prev, out=row)
+        prev, cur = cur, row
     return out.T
 
 

@@ -294,7 +294,14 @@ def posterior_demo(
     forward-map column norms. Emits pushforward samples y_i = Tt(x_i) and
     compares the sample mean to the tensor-quadrature posterior mean.
     """
-    pi = gaussian_posterior(A, varsigma, sigma)
+    return _posterior_demo(gaussian_posterior(A, varsigma, sigma), epsilon,
+                           n_samples, seed, alpha, distance_grid_order)
+
+
+def _posterior_demo(pi: Density, epsilon: float, n_samples: int, seed: int,
+                    alpha: float, distance_grid_order: int | None) -> PosteriorReport:
+    """``posterior_demo`` on the posterior pi that ``gaussian_posterior``
+    built, so that a caller holding it does not normalise it again."""
     d = pi.d
     if d > 4:
         raise ValueError("posterior demo limited to d <= 4")

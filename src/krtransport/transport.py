@@ -15,7 +15,9 @@ The bracketed bisection-Newton root solve (``_invert_cdf``, through
 ``invert_monotone``; neither is a package export) works on that series
 alone, once per distinct x_<=k (rows that share it share the root). It
 starts each root at the regula-falsi point of the bracket [-1, 1], where
-the CDF series gives F(-1) and F(1) in closed form, T_n(+-1) = (+-1)^n.
+the CDF series gives F(-1) and F(1) in closed form, T_n(+-1) = (+-1)^n,
+unless its caller passes a start (the approximate map does, for a
+component whose CDF it has tabulated).
 A solve also returns the diagonal of its Jacobian, the ratio of the two
 density series at each k, for the components its caller reads, so one
 inverse solve gives both the preimage and the determinant
@@ -50,14 +52,16 @@ DEFAULT_ROOT_MAXIT = 200
 _NODE_BLOCK = 1 << 19
 
 
-def invert_monotone(F, y, *, fprime, ends):
+def invert_monotone(F, y, *, fprime, ends, start=None):
     """Solve F(t) = y (m,) for strictly increasing vectorized F on [-1, 1].
 
     ends is (F(-1), F(1)) per row; F is not evaluated there. Each row starts
-    at the regula-falsi point of the bracket, so a linear F is solved at its
-    first evaluation, then takes Newton steps with the slope fprime(t),
-    safeguarded by bisection on a maintained bracket: a start or step that
-    is not finite or leaves the open bracket falls back to its midpoint.
+    at start (m,) when given, else at the regula-falsi point of the
+    bracket, so a linear F is solved at its first evaluation; then it takes
+    Newton steps with the slope fprime(t), safeguarded by bisection on a
+    maintained bracket: a start or step that is not finite or leaves the
+    open bracket falls back to its midpoint, so the start decides only
+    where the solve begins, not what it converges to.
     Raises ValueError if [F(-1), F(1)] misses some y by more than
     DEFAULT_ROOT_TOL, or if some |F(t) - y| is above it after
     DEFAULT_ROOT_MAXIT steps. ``_invert_cdf`` is its one caller.
@@ -66,22 +70,26 @@ def invert_monotone(F, y, *, fprime, ends):
     m = y.shape[0]
     a, b = np.full(m, -1.0), np.full(m, 1.0)
     fa, fb = ends[0] - y, ends[1] - y
-    if np.any(fa > tol) or np.any(fb < -tol):
+    if (fa > tol).any() or (fb < -tol).any():
         raise ValueError("target values do not bracket: monotonicity broken upstream")
-    with np.errstate(all="ignore"):
-        t = _inside(a - fa * (b - a) / (fb - fa), a, b)
-    for it in range(maxiter + 1):
-        ft = F(t) - y
-        done = np.abs(ft) <= tol
-        if np.all(done):
-            return np.clip(t, -1.0, 1.0)
-        if it == maxiter:
-            break
-        neg = ft < 0
-        a = np.where(neg, t, a)
-        b = np.where(neg, b, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(done, t, _inside(t - ft / fprime(t), a, b))
+    if start is None:
+        with np.errstate(all="ignore"):
+            start = a - fa * (b - a) / (fb - fa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _inside(start, a, b)
+        for it in range(maxiter + 1):
+            ft = F(t) - y
+            done = np.abs(ft) <= tol
+            if done.all():
+                return np.clip(t, -1.0, 1.0)
+            if it == maxiter:
+                break
+            neg = ft < 0
+            np.copyto(a, t, where=neg)
+            np.copyto(b, t, where=~neg)
+            step = _inside(t - ft / fprime(t), a, b)
+            np.copyto(step, t, where=done)
+            t = step
     resid = np.abs(ft[~done])
     raise ValueError(
         f"{resid.size} of {m} roots unconverged after {maxiter} steps: "
@@ -90,18 +98,21 @@ def invert_monotone(F, y, *, fprime, ends):
 
 
 def _inside(t, a, b):
-    """t where it is finite and inside (a, b), the midpoint elsewhere."""
-    bad = ~np.isfinite(t) | (t <= a) | (t >= b)
-    return np.where(bad, 0.5 * (a + b), t)
+    """t where it is inside (a, b), the midpoint elsewhere: NaN fails both
+    comparisons, and +-inf one of them."""
+    return np.where((t > a) & (t < b), t, 0.5 * (a + b))
 
 
-def _invert_cdf(C: np.ndarray, B: np.ndarray, u):
+def _invert_cdf(C: np.ndarray, B: np.ndarray, u, start=None):
     """(t, F'(t)): t in [-1, 1] with F_i(t_i) = u_i, F_i the CDF in row i of C.
 
     C (m, n + 1): Chebyshev coefficients of CDFs with F(-1) = 0 and F(1) = 1
     up to rounding, the half antiderivatives (``_cdf_series``) of the
     density series B (m, n), so F' = B . T / 2; u is clipped into [0, 1].
     C and B may also be one row, which then serves every entry of u.
+    start (m,), if given, is where each root's Newton solve begins (the
+    approximate map passes one read off a table of F); None starts at the
+    regula-falsi point of [-1, 1], as the exact transport always does.
     The bracket ends are read off C (T_n(1) = 1, T_n(-1) = (-1)^n), not
     evaluated. Each Newton step builds one table and reads F and F' off it;
     only F' at the latest t is kept, so no table outlives its step (holding
@@ -124,7 +135,8 @@ def _invert_cdf(C: np.ndarray, B: np.ndarray, u):
         return held[1]
 
     ends = (C[:, 0::2].sum(axis=1) - C[:, 1::2].sum(axis=1), C.sum(axis=1))
-    t = invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime, ends=ends)
+    t = invert_monotone(F, np.clip(u, 0.0, 1.0), fprime=fprime, ends=ends,
+                        start=start)
     return t, held[1]
 
 

@@ -25,9 +25,9 @@ from krtransport.indexsets import (
 from krtransport.kernels import legendre_table
 from krtransport.metrics import det_product_bound, distance_report
 from krtransport.polybasis import sup_norm_bound, zero_polynomial
-from krtransport.quadrature import tensor_grid, uniform_grid
+from krtransport.quadrature import integrate, tensor_grid, uniform_grid
 from krtransport.studies import convergence_study, records_to_csv, truncation_study
-from krtransport.transport import ExactTransport
+from krtransport.transport import ExactTransport, pushforward_density
 
 SEED = 2026
 
@@ -60,6 +60,7 @@ def _linear2d_sweep():
         _SWEEP["fit"] = fit
         _SWEEP["elapsed"] = time.perf_counter() - t0
         _SWEEP["last_map"] = build_approx_transport(rho, pi, xi, eps_list[-1])
+        _SWEEP["fit_args"] = (rho, pi, xi)
     return _SWEEP
 
 
@@ -155,6 +156,22 @@ def test_criterion_5_measure_convergence():
     _report(5, "pushforward measure distances converge with the map", ok,
             f"final H {last.distances.hellinger:.2e}, "
             f"TV {last.distances.tv:.2e}, KL {last.distances.kl:.2e}")
+
+
+def test_pushforward_mass_and_kl_on_the_criterion_5_sweep():
+    # the KL of the y-space distance is the KL only while the pushforward
+    # density's grid mass is 1: its root solves (the inverse) must resolve
+    # F closely enough that the mass is 1 to 1e-14 on the order-30 grid at
+    # every eps, and the KL of every record is then >= 0 (-7.1e-16 at
+    # eps 1e-6 when the mass was 1 - 6.5e-14)
+    sweep = _linear2d_sweep()
+    rho, pi, xi = sweep["fit_args"]
+    grid = uniform_grid(30, 2)
+    for r in sweep["records"]:
+        tmap = build_approx_transport(rho, pi, xi, r.epsilon)
+        mass = integrate(lambda y: pushforward_density(tmap, rho, y), grid)
+        assert abs(mass - 1.0) <= 1e-14, (r.epsilon, mass)
+        assert r.distances.kl >= 0.0, (r.epsilon, r.distances.kl)
 
 
 def test_criterion_6_dimension_robust_rate():

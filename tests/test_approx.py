@@ -165,17 +165,24 @@ def test_closed_form_matches_quadrature_and_inverts(comp_prefix, xk):
     assert abs(dback[0] - expect) <= 1e-14 * expect
 
 
+def _with_a_root(root, g, k=1):
+    """The component k whose q = (t - root) g(t) ignores the prefix, from
+    classical Legendre coefficients g, or None if its c_k is below 1e-8."""
+    a = legmul([-root, 1.0], g)
+    b = a / np.sqrt(2.0 * np.arange(len(a)) + 1.0)  # L_n = sqrt(2n + 1) P_n
+    if not 2.0 * np.sum(b * b) > 1e-8:  # c_k, the Parseval sum
+        return None
+    b[0] -= 1.0  # p = q - 1
+    head = (0,) * (k - 1)
+    return RationalComponent(k, SparsePolynomial(
+        k, {canon(head + (n,)): float(v) for n, v in enumerate(b) if v}))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-0.9, 0.9), st.lists(_COEFF, min_size=1, max_size=4))
 def test_deriv_is_nonnegative_near_a_root_of_q(root, g):
-    # q = (t - root) g(t) in classical Legendre coefficients, then
-    # orthonormal ones (L_n = sqrt(2n + 1) P_n); p = q - 1
-    a = legmul([-root, 1.0], g)
-    b = a / np.sqrt(2.0 * np.arange(len(a)) + 1.0)
-    assume(2.0 * np.sum(b * b) > 1e-8)  # c_k, the Parseval sum
-    b[0] -= 1.0
-    p = SparsePolynomial(1, {canon((n,)): float(v) for n, v in enumerate(b) if v})
-    comp = RationalComponent(k=1, p=p)
+    comp = _with_a_root(root, g)
+    assume(comp is not None)
     x = np.concatenate([np.linspace(-1.0, 1.0, 203), [root]]).reshape(-1, 1)
     assert np.all(comp.deriv(x) >= 0.0)
 
@@ -393,6 +400,29 @@ def test_density_batch_root_solve_count(monkeypatch):
     assert np.all(np.isfinite(q)) and np.all(q > 0)
 
 
+def test_prefix_free_roots_start_from_the_cdf_table(monkeypatch):
+    # every component of the d = 3 posterior map ignores the prefix, so
+    # both of its grouped solves start from the components' CDF tables and
+    # take 2 F evaluations each (10 in all from the regula-falsi point)
+    tmap = _posterior_map()
+    solve = transport.invert_monotone
+    calls = []
+
+    def counted(F, y, *args, **kwargs):
+        def F_counted(t):
+            calls[-1] += 1
+            return F(t)
+
+        calls.append(0)
+        return solve(F_counted, y, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "invert_monotone", counted)
+    y = _rng(19).uniform(-1.0, 1.0, size=(100, 3))
+    q = transport.pushforward_density(tmap, uniform(3), y)
+    assert calls == [2, 2]
+    assert np.all(np.isfinite(q)) and np.all(q > 0)
+
+
 def test_density_batch_builds_each_series_once(monkeypatch):
     # the inverse solve hands back the diagonal derivatives, so a density
     # batch builds B once per component instead of again in diag_deriv;
@@ -433,7 +463,9 @@ def _per_row(comp):
 
 def test_prefix_free_component_builds_its_series_once(monkeypatch):
     # component 1 always ignores the prefix, and component 2 of the
-    # benchmark's map reads it
+    # benchmark's map reads it. The CDF table the inverse starts from is
+    # built at the first inversion of component 1 only, never by eval or
+    # deriv
     square = RationalComponent._square
     calls = []
 
@@ -444,14 +476,32 @@ def test_prefix_free_component_builds_its_series_once(monkeypatch):
     monkeypatch.setattr(RationalComponent, "_square", counted)
     x = _rng(16).uniform(-1.0, 1.0, size=(50, 2))
     for comp in _map_eval_2d().components:
-        for _ in range(2):
+        for rep in range(2):
             y = comp.eval(x[:, : comp.k])
+            comp.deriv(x[:, : comp.k])
+            assert ("_inverse_table" in vars(comp)) == (comp.k == 1 and rep > 0)
             comp.invert(x[:, : comp.k - 1], y)
+        assert ("_inverse_table" in vars(comp)) == (comp.k == 1)
     assert calls == [(1, 1)] + [(2, 50)] * 4
 
 
+@st.composite
+def _prefix_free_with_a_root(draw):
+    """``_with_a_root`` at k = 1..3, so that F is flat at a point of
+    (-1, 1), and prefixes for it as ``_component_and_prefixes`` draws."""
+    k = draw(st.integers(1, 3))
+    comp = _with_a_root(draw(st.floats(-0.9, 0.9)),
+                        draw(st.lists(_COEFF, min_size=1, max_size=4)), k)
+    assume(comp is not None)
+    m = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.floats(-1.0, 1.0), min_size=m * (k - 1),
+                         max_size=m * (k - 1)))
+    return comp, np.array(flat).reshape(m, k - 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_component_and_prefixes(prefix_free=True),
+@given(st.one_of(_component_and_prefixes(prefix_free=True),
+                 _prefix_free_with_a_root()),
        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
 def test_prefix_free_row_matches_the_per_row_series(comp_prefix, xk):
     comp, prefix = comp_prefix
@@ -474,6 +524,16 @@ def test_prefix_free_row_matches_the_per_row_series(comp_prefix, xk):
     x = np.concatenate([prefix, t[:, None]], axis=1)
     assert np.all(np.abs(ref.eval(x) - y) <= 2e-12 + 1e-14)
     assert close(dt, _series_deriv(ref, x))
+    # the roots start from the CDF table, which decides only where Newton
+    # begins: on y from -1 to 1, 0.01 apart (far above the solve's
+    # tolerance), the roots pin the ends, are nondecreasing and solve
+    # Tt_k(t) = y, also where q changes sign and F is flat
+    y = np.linspace(-1.0, 1.0, 201)
+    t, _ = comp.invert(np.zeros((y.size, comp.k - 1)), y)
+    assert t[0] == -1.0 and t[-1] == 1.0
+    assert np.all(np.diff(t) >= 0.0)
+    x = np.concatenate([np.zeros((y.size, comp.k - 1)), t[:, None]], axis=1)
+    assert np.all(np.abs(comp.eval(x) - y) <= 1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -497,14 +557,23 @@ def test_invert_pins_the_ends(comp_prefix, end):
 
 def _pullback_per_component(tmap, y):
     """(x, D) of ``_pullback`` one component at a time: its series, one
-    root solve and the +-1 pin, in the order k = 1..d."""
+    root solve and the +-1 pin, in the order k = 1..d. A component starts
+    its roots from its CDF table when its group holds only components whose
+    p ignores the prefix (a hand-written map can group one with another)."""
     x, D = y.copy(), np.ones_like(y)
+    free = {c.k for comps, _ in tmap._groups
+            if all(not c.p.t_series[0].any() for c in comps) for c in comps}
     for comp in tmap.components:
         if comp.is_identity:
             continue
         k, yk = comp.k, y[:, comp.k - 1]
         C, S = comp._series(x[:, : k - 1])
-        t, dF = transport._invert_cdf(C, S, 0.5 * (yk + 1.0))
+        u = 0.5 * (yk + 1.0)
+        start = None
+        if k in free:
+            F, t = comp._inverse_table
+            start = np.interp(u, F, t)
+        t, dF = transport._invert_cdf(C, S, u, start)
         end = np.abs(yk) == 1.0
         t[end] = yk[end]
         S = np.broadcast_to(S, (yk.shape[0], S.shape[1]))
@@ -596,9 +665,9 @@ def test_density_batch_solves_once_per_group(monkeypatch, build, groups):
     tmap = build()
     calls = []
 
-    def counted(C, S, u):
+    def counted(C, S, u, start=None):
         calls.append(u.shape[0])
-        return transport._invert_cdf(C, S, u)
+        return transport._invert_cdf(C, S, u, start)
 
     monkeypatch.setattr("krtransport.approx._invert_cdf", counted)
     y = _rng(17).uniform(-1.0, 1.0, size=(100, tmap.d))

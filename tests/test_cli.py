@@ -61,7 +61,20 @@ def test_truncation_study(tmp_path):
     assert len(data["records"]) == 3
 
 
-def test_posterior_study(tmp_path):
+def test_posterior_study(tmp_path, monkeypatch):
+    # the run normalises the posterior once: the CLI hands the Density it
+    # validated to the study, which does not build it again
+    from krtransport import density, studies
+
+    build = density.gaussian_posterior
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    for module in (density, studies):
+        monkeypatch.setattr(module, "gaussian_posterior", counted)
     cfg = _write(tmp_path, "p.json", {
         "A": [[1.0, 0.5]],
         "varsigma": [0.3],
@@ -72,6 +85,7 @@ def test_posterior_study(tmp_path):
         "distance_grid_order": 12,
     })
     assert _run(["--config", cfg, "--out", tmp_path, "study", "posterior"]) == 0
+    assert len(built) == 1
     rep = json.loads((tmp_path / "posterior.json").read_text())
     assert rep["N_eps"] > 0
     samples = (tmp_path / "posterior_samples.csv").read_text().strip().split("\n")

@@ -17,6 +17,7 @@ from krtransport.density import (
     uniform,
 )
 from krtransport.indexsets import WeightVector
+from krtransport.polybasis import chebyshev_series
 from krtransport.quadrature import gauss_legendre, integrate, uniform_grid
 from krtransport.transport import (
     ExactTransport,
@@ -122,6 +123,78 @@ def test_invert_monotone_unconverged_is_loud():
     with pytest.raises(ValueError, match=r"1 of 1 roots unconverged.*5\.000e-01"):
         invert_monotone(np.sign, np.array([0.5]), fprime=np.zeros_like,
                         ends=(np.full(1, -1.0), np.ones(1)))
+
+
+def _inside_reference(t, a, b):
+    bad = ~np.isfinite(t) | (t <= a) | (t >= b)
+    return np.where(bad, 0.5 * (a + b), t)
+
+
+def _invert_monotone_reference(F, y, *, fprime, ends, start=None):
+    """``invert_monotone`` as a plain loop: new arrays for every bracket
+    update, one errstate per step, and the midpoint test through isfinite;
+    start replaces the regula-falsi point when given."""
+    tol, maxiter = transport.DEFAULT_ROOT_TOL, transport.DEFAULT_ROOT_MAXIT
+    m = y.shape[0]
+    a, b = np.full(m, -1.0), np.full(m, 1.0)
+    fa, fb = ends[0] - y, ends[1] - y
+    assert not (np.any(fa > tol) or np.any(fb < -tol))
+    with np.errstate(all="ignore"):
+        t = a - fa * (b - a) / (fb - fa) if start is None else start
+        t = _inside_reference(t, a, b)
+    for it in range(maxiter + 1):
+        ft = F(t) - y
+        done = np.abs(ft) <= tol
+        if np.all(done):
+            return np.clip(t, -1.0, 1.0)
+        assert it < maxiter, "unconverged"
+        neg = ft < 0
+        a = np.where(neg, t, a)
+        b = np.where(neg, b, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(done, t, _inside_reference(t - ft / fprime(t), a, b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invert_monotone_matches_the_plain_loop(seed):
+    # random CDF series (densities that are squares of random series), with
+    # rows at the bracket ends u = 0 and 1, starts inside, at and outside
+    # the bracket, NaN and inf among them, and a zero slope, which leaves
+    # every step to the midpoint: the roots and the points F is evaluated at
+    # are bitwise those of the plain loop
+    from numpy.polynomial.chebyshev import chebmul
+
+    rng = _rng(seed)
+    m, n = 40, 1 + seed
+    B = np.array([chebmul(g, g) for g in rng.normal(size=(m, n + 1))])
+    B /= (B[:, ::2] @ (1.0 / (1.0 - np.arange(0, B.shape[1], 2) ** 2.0)))[:, None]
+    C = transport._cdf_series(B)
+    ends = (C[:, 0::2].sum(axis=1) - C[:, 1::2].sum(axis=1), C.sum(axis=1))
+    u = rng.uniform(0.0, 1.0, m)
+    u[:4] = [0.0, 1.0, 0.0, 1.0]
+    u = np.clip(u, ends[0], ends[1])
+    start = rng.uniform(-1.0, 1.0, m)
+    start[4:10] = [-1.0, 1.0, 1.5, -np.inf, np.inf, np.nan]
+
+    def solve(how, start, slope):
+        evaluated = []
+
+        def F(t):
+            evaluated.append(t.copy())
+            return chebyshev_series(C, t)
+
+        def fprime(t):
+            return slope * chebyshev_series(B, t)
+
+        return how(F, u, fprime=fprime, ends=ends, start=start), evaluated
+
+    for s in (None, start):
+        for slope in (0.5, 0.0):
+            t, ts = solve(invert_monotone, s, slope)
+            t_ref, ts_ref = solve(_invert_monotone_reference, s, slope)
+            assert np.array_equal(t, t_ref)
+            assert len(ts) == len(ts_ref)
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ts, ts_ref))
 
 
 def test_identity_transport():
