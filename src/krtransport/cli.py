@@ -88,9 +88,16 @@ class _Config:
 
 
 # Value kinds for _Config.take_as: each converts one config value and
-# raises ValueError when it is out of range.
+# raises ValueError when it is out of range. JSON true and false are no
+# numbers, although Python's float() and int() take them.
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError("must be a number")
+    return float(value)
+
+
 def _epsilon(value) -> float:
-    eps = float(value)
+    eps = _number(value)
     if not 0.0 < eps < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     return eps
@@ -104,7 +111,7 @@ def _epsilons(values) -> list:
 
 
 def _positive(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not x > 0.0:
         raise ValueError("must be positive")
     return x
@@ -131,6 +138,10 @@ def _density(spec, what: str) -> Density:
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} density spec must be an object")
     try:
+        if "d" in spec:
+            spec = {**spec, "d": _count(spec["d"])}
+        if "sigma" in spec:
+            spec = {**spec, "sigma": _number(spec["sigma"])}
         return density_from_config(spec)
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad {what} density spec: {e}") from e
@@ -151,7 +162,7 @@ def _weights(spec, target: Density) -> WeightVector:
         if isinstance(spec, list):
             xi = WeightVector(tuple(float(x) for x in spec))
         else:
-            xi = xi_from_anisotropy(b, float(alpha))
+            xi = xi_from_anisotropy(b, _number(alpha))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad xi spec: {e}") from e
     if len(xi) < target.d:
@@ -350,8 +361,8 @@ def _cmd_study_convergence(cfg: _Config, out_dir: Path, seed):
 
 
 def _cmd_study_truncation(cfg: _Config, out_dir: Path, seed):
-    amplitude = cfg.take_as("amplitude", float)
-    s = cfg.take_as("s", float)
+    amplitude = cfg.take_as("amplitude", _number)
+    s = cfg.take_as("s", _number)
     d_max = cfg.take_as("d_max", _count)
     eps_list = cfg.take_as("epsilon_list", _epsilons)
     alpha = cfg.take_as("alpha", _positive, 1.0)

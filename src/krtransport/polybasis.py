@@ -142,6 +142,10 @@ def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
     f maps (m, k) points to (m,) values. Each grid dimension must have
     order > (max degree of that coordinate in the set), otherwise the
     coefficients of the top-degree terms alias.
+
+    The weighted values are contracted one grid axis at a time (sum
+    factorisation), which relies on the "ij" point order and the product
+    weights of ``TensorGrid.points_weights``.
     """
     k = index_set.k
     if grid.d != k:
@@ -159,19 +163,12 @@ def project(f, index_set, grid: TensorGrid) -> SparsePolynomial:
     vals = np.asarray(f(pts), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         raise ValueError("projection integrand non-finite on grid nodes")
-    nmax = max(maxdeg)
-    tables = np.empty((pts.shape[0], k, nmax + 1))
-    for j in range(k):
-        tables[:, j, :] = legendre_table(pts[:, j], nmax)
-    fw = vals * w
-    terms = {}
-    for nu in members:
-        basis = np.ones(pts.shape[0])
-        for j, v in enumerate(nu):
-            if v > 0:
-                basis = basis * tables[:, j, v]
-        terms[nu] = float(fw @ basis)
-    return SparsePolynomial(k, terms)
+    # contract the leading grid axis, append its degree axis last
+    box = vals * w
+    for rule, deg in zip(grid.rules, maxdeg):
+        box = box.reshape(rule.n, -1).T @ legendre_table(rule.nodes, deg)
+    box = box.reshape([deg + 1 for deg in maxdeg])
+    return SparsePolynomial(k, {nu: float(box[padded(nu, k)]) for nu in members})
 
 
 def chebyshev_series(B: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -281,13 +281,22 @@ POSTERIOR2 = {"A": [[1.0, 0.5]], "varsigma": [0.3], "sigma": 0.8,
     (["study", "posterior"], POSTERIOR2, {"n_samples": 1}),
     (["approx", "build"], BUILD2, {"xi": [2.0]}),
     (["approx", "build"], BUILD2, {"xi": {"anisotropy": [0.3]}}),
+    (["study", "truncation"], TRUNC, {"s": True}),
+    (["study", "truncation"], TRUNC, {"alpha": True}),
+    (["study", "posterior"], POSTERIOR2, {"sigma": True}),
+    (["approx", "build"], BUILD2, {"xi": {"alpha": True}}),
+    (["approx", "build"], BUILD2, {"reference": {"family": "uniform", "d": 2.5}}),
+    (["distance"], {"f": {"family": "linear", "c": [0.4]}},
+     {"g": {"family": "uniform", "d": True}}),
 ], ids=["epsilon_above_one", "epsilon_zero", "n_samples_negative",
         "n_samples_fractional", "n_samples_boolean", "seed_negative", "d_max_zero", "n_cloud_zero",
         "alpha_negative", "epsilon_list_above_one", "distance_grid_order_zero",
         "grid_order_negative", "inverse_string", "timing_string",
         "posterior_varsigma_length", "posterior_sigma_zero",
         "posterior_A_not_numeric", "posterior_d5", "posterior_zero_column",
-        "posterior_one_sample", "xi_too_short", "xi_anisotropy_too_short"])
+        "posterior_one_sample", "xi_too_short", "xi_anisotropy_too_short",
+        "s_boolean", "alpha_boolean", "posterior_sigma_boolean",
+        "xi_alpha_boolean", "uniform_d_fractional", "uniform_d_boolean"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, base, spec):
     cfg = _write(tmp_path, "r.json", {**base, **spec})
     assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2

@@ -12,7 +12,7 @@ from numpy.polynomial import Chebyshev, Legendre
 from numpy.polynomial.chebyshev import chebval
 
 from krtransport.approx import _square_cdf_matrices
-from krtransport.indexsets import IndexSet
+from krtransport.indexsets import IndexSet, WeightVector, enumerate_lambda
 from krtransport.kernels import legendre_table
 from krtransport.polybasis import (
     SparsePolynomial,
@@ -25,7 +25,7 @@ from krtransport.polybasis import (
     sup_norm_bound,
     zero_polynomial,
 )
-from krtransport.quadrature import gauss_legendre, uniform_grid
+from krtransport.quadrature import gauss_legendre, tensor_grid, uniform_grid
 from krtransport.transport import _lobatto_rule
 
 
@@ -98,6 +98,58 @@ def test_project_grid_order_guard():
     lam = _index_set(1, [(5,)])
     with pytest.raises(ValueError):
         project(lambda x: x[:, 0], lam, uniform_grid(5, 1))
+
+
+def _project_loop(f, index_set, grid):
+    """The per-member reference: one Legendre table over every grid point,
+    one product of full-length columns per member of the set."""
+    k = index_set.k
+    pts, w = grid.points_weights()
+    fw = np.asarray(f(pts), dtype=np.float64) * w
+    nmax = max(max_degree_per_dim(index_set.members, k))
+    tables = [legendre_table(pts[:, j], nmax) for j in range(k)]
+    terms = {}
+    for nu in index_set.members:
+        basis = np.ones(pts.shape[0])
+        for j, v in enumerate(nu):
+            if v > 0:
+                basis = basis * tables[j][:, v]
+        terms[nu] = float(fw @ basis)
+    return terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    xi=st.lists(st.floats(1.2, 4.0), min_size=1, max_size=4),
+    epsilon=st.floats(0.005, 0.9),
+    margins=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+def test_project_matches_member_loop(seed, xi, epsilon, margins):
+    # the axis-by-axis contraction gives the coefficients of the member loop
+    # on any index set and any grid at or above the set's degrees, 1-node
+    # axes (maximum degree 0, margin 0) included
+    lam = enumerate_lambda(WeightVector(tuple(xi)), epsilon)
+    maxdeg = lam.max_degree_per_dim()
+    grid = tensor_grid([deg + 1 + r for deg, r in zip(maxdeg, margins)])
+    vals = np.random.Generator(np.random.Philox(seed)).uniform(
+        -1.0, 1.0, size=grid.size)
+    got = project(lambda x: vals, lam, grid).terms
+    ref = _project_loop(lambda x: vals, lam, grid)
+    assert got.keys() == ref.keys()
+    assert all(abs(got[nu] - c) <= 1e-15 for nu, c in ref.items())
+
+
+def test_project_unequal_orders_recovers_polynomial():
+    # 7, 4 and 1 nodes: a contraction that paired an axis with another
+    # axis's rule or degrees would miss these coefficients
+    terms = {(): 0.7, (1,): -0.2, (6,): 0.1, (0, 3): 0.5, (2, 1): 0.3,
+             (4, 2): -0.25, (1, 3): 0.05}
+    p = SparsePolynomial(3, terms)
+    members = [(i, j) for i in range(7) for j in range(4)]
+    q = project(p.eval, _index_set(3, members), tensor_grid([7, 4, 1]))
+    for nu in map(canon, members):
+        assert q.terms[nu] == pytest.approx(terms.get(nu, 0.0), abs=1e-14)
 
 
 def test_max_degree_per_dim():
