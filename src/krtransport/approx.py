@@ -195,16 +195,23 @@ class RationalComponent:
             return np.full(prefix.shape[0], 2.0)
         return self._c(self._t_coeffs(prefix))
 
-    def _square(self, prefix: np.ndarray):
-        """(B, c, C, S) per row of prefix: B = ``_t_coeffs``, c_k, and the
-        Chebyshev series C of the CDF F (Tt_k = 2F - 1) and S of the density
-        Tt_k' = 2 q^2 / c_k, from that density's values s on the points of
-        ``_square_cdf_matrices``: C = s @ MC, S = s @ M."""
+    def _density_values(self, prefix: np.ndarray):
+        """(B, c, s) per row of prefix: B = ``_t_coeffs``, c_k, and the values
+        s of the density Tt_k' = 2 q^2 / c_k on the points of
+        ``_square_cdf_matrices``, squared in place (no q * q temporary)."""
         B = self._t_coeffs(prefix)
         c = self._c(B)
-        L, M, MC = _square_cdf_matrices(B.shape[1])
-        q = B @ L
-        s = q * q * (2.0 / c)[:, None]
+        s = B @ _square_cdf_matrices(B.shape[1])[0]
+        np.multiply(s, s, out=s)
+        s *= (2.0 / c)[:, None]
+        return B, c, s
+
+    def _square(self, prefix: np.ndarray):
+        """(B, c, C, S) per row of prefix: B and c_k of ``_density_values``,
+        and the Chebyshev series C of the CDF F (Tt_k = 2F - 1) and S of the
+        density, from its values s: C = s @ MC, S = s @ M."""
+        B, c, s = self._density_values(prefix)
+        _, M, MC = _square_cdf_matrices(B.shape[1])
         return B, c, s @ MC, s @ M
 
     @cached_property
@@ -245,13 +252,24 @@ class RationalComponent:
         return one[2:] if one is not None else self._square(prefix)[2:]
 
     def eval(self, x) -> np.ndarray:
-        """Tt_k = 2F - 1 at points x of shape (m, k), clipped into [-1, 1]."""
+        """Tt_k = 2F - 1 at points x of shape (m, k), clipped into [-1, 1],
+        and exactly x_k where x_k = +-1.
+
+        A component that reads the prefix builds only the CDF series C of
+        ``_square``, not the density series the inverse also needs, and
+        holds neither B nor the density values longer than C needs them."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        xk = x[:, -1]
         if self.is_identity:
-            return x[:, -1].copy()
-        C, _ = self._series(x[:, :-1])
-        F = chebyshev_series(C, x[:, -1])
-        return np.clip(2.0 * F - 1.0, -1.0, 1.0)
+            return xk.copy()
+        one = self._one_row
+        if one is not None:
+            C = one[2]
+        else:
+            MC = _square_cdf_matrices(self.p.t_series[1].shape[1])[2]
+            C = self._density_values(x[:, :-1])[2] @ MC
+        F = chebyshev_series(C, xk)
+        return np.where(np.abs(xk) == 1.0, xk, np.clip(2.0 * F - 1.0, -1.0, 1.0))
 
     def deriv(self, x) -> np.ndarray:
         """d/dx_k Tt_k = 2 q(x_k)^2 / c_k with q summed at the point, so
@@ -378,6 +396,35 @@ class ApproxTransport:
             len(c.lam) if c.lam is not None else len(c.p.terms)
             for c in self.components
         )
+
+    def truncate(self, eps: float) -> "ApproxTransport":
+        """This map cut to the index sets of a coarser eps, with no refit.
+
+        The sets are nested in eps, so every kept term keeps this map's
+        coefficient. Component k gets ``enumerate_lambda(xi_k, eps)``, the
+        set a fit at eps projects on, so N_eps and every index set are a
+        fresh fit's; only the coefficients differ, as they were projected
+        on this map's larger grids. A component whose index set does not
+        change is this map's own object, with its cached series; one whose
+        members do not change (only the set's epsilon) shares its p; an
+        empty set gives the identity. ValueError if eps is below the map's
+        epsilon, or the map has no epsilon or xi (a map file without them).
+        """
+        if self.epsilon is None or self.xi is None:
+            raise ValueError("truncate needs the epsilon and xi the map was fitted with")
+        if eps < self.epsilon:
+            raise ValueError(f"cannot truncate a map fitted at epsilon {self.epsilon} "
+                             f"to the finer {eps}")
+        comps = []
+        for c in self.components:
+            lam = enumerate_lambda(WeightVector(self.xi[:c.k]), eps)
+            if lam.members != c.lam.members:
+                p = SparsePolynomial(c.k, {nu: c.p.terms[nu] for nu in lam.members})
+                c = RationalComponent(k=c.k, p=p, lam=lam)
+            elif lam != c.lam:
+                c = RationalComponent(k=c.k, p=c.p, lam=lam)
+            comps.append(c)
+        return ApproxTransport(components=tuple(comps), epsilon=eps, xi=self.xi)
 
     def component(self, k: int, x) -> np.ndarray:
         """Tt_k at points x of shape (m, k)."""

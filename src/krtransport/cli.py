@@ -96,6 +96,16 @@ def _number(value) -> float:
     return float(value)
 
 
+def _numbers(value):
+    """A number, or a (nested) list or tuple of numbers, as floats; a
+    boolean or any other element is rejected (numpy would read true as 1.0)."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _epsilon(value) -> float:
     eps = _number(value)
     if not 0.0 < eps < 1.0:
@@ -142,6 +152,9 @@ def _density(spec, what: str) -> Density:
             spec = {**spec, "d": _count(spec["d"])}
         if "sigma" in spec:
             spec = {**spec, "sigma": _number(spec["sigma"])}
+        for key in ("c", "A", "varsigma"):
+            if key in spec:
+                spec = {**spec, key: _numbers(spec[key])}
         return density_from_config(spec)
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad {what} density spec: {e}") from e
@@ -160,9 +173,9 @@ def _weights(spec, target: Density) -> WeightVector:
         raise ConfigError("xi must be a list of weights or an object")
     try:
         if isinstance(spec, list):
-            xi = WeightVector(tuple(float(x) for x in spec))
+            xi = WeightVector(tuple(_numbers(spec)))
         else:
-            xi = xi_from_anisotropy(b, _number(alpha))
+            xi = xi_from_anisotropy(_numbers(b), _number(alpha))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad xi spec: {e}") from e
     if len(xi) < target.d:
@@ -178,12 +191,13 @@ def _read_points(cfg: _Config, d: int) -> np.ndarray:
     if path is not None and not Path(path).is_file():
         raise ConfigError(f"points file not found: {path}")
     try:
-        if path is not None and Path(path).suffix == ".json":
-            with open(path) as fh:
-                pts = json.load(fh)
-        elif path is not None:
-            pts = np.loadtxt(path, delimiter=",", ndmin=2)
-        arr = np.asarray(pts, dtype=np.float64)
+        if path is not None and Path(path).suffix != ".json":
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        else:
+            if path is not None:
+                with open(path) as fh:
+                    pts = json.load(fh)
+            arr = np.asarray(_numbers(pts), dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"points must be an array of numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != d:

@@ -1,5 +1,6 @@
 """Rational monotone components and the assembled approximate transport."""
 
+import itertools
 import json
 
 import numpy as np
@@ -463,17 +464,18 @@ def _per_row(comp):
 
 def test_prefix_free_component_builds_its_series_once(monkeypatch):
     # component 1 always ignores the prefix, and component 2 of the
-    # benchmark's map reads it. The CDF table the inverse starts from is
-    # built at the first inversion of component 1 only, never by eval or
-    # deriv
-    square = RationalComponent._square
+    # benchmark's map reads it. Every series build (eval's CDF series alone,
+    # the inverse's pair through _square) starts from the density values.
+    # The CDF table the inverse starts from is built at the first inversion
+    # of component 1 only, never by eval or deriv
+    values = RationalComponent._density_values
     calls = []
 
     def counted(self, prefix):
         calls.append((self.k, prefix.shape[0]))
-        return square(self, prefix)
+        return values(self, prefix)
 
-    monkeypatch.setattr(RationalComponent, "_square", counted)
+    monkeypatch.setattr(RationalComponent, "_density_values", counted)
     x = _rng(16).uniform(-1.0, 1.0, size=(50, 2))
     for comp in _map_eval_2d().components:
         for rep in range(2):
@@ -553,6 +555,41 @@ def test_invert_pins_the_ends(comp_prefix, end):
     # the slope is the density's at +-1, where the root now is
     if not comp.is_identity:
         assert np.array_equal(dt, _series_deriv(comp, x))
+
+
+@st.composite
+def _scaled_map(draw):
+    """A map of d = 1..3 components, each with up to 8 terms of any
+    exponents up to 4, coefficients scaled by 1e-2..1e3 (an empty p is the
+    identity); and the 2^d corners of the cube with, per corner, a point
+    of the same last coordinates and a random prefix."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.floats(1e-2, 1e3))
+    comps = []
+    for k in range(1, d + 1):
+        nus = st.tuples(*[st.integers(0, 4)] * k)
+        terms = draw(st.dictionaries(nus, st.floats(-1.0, 1.0), max_size=8))
+        comps.append(RationalComponent(k, SparsePolynomial(
+            k, {canon(nu): scale * c for nu, c in terms.items()})))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    flat = draw(st.lists(st.floats(-1.0, 1.0), min_size=corners.size,
+                         max_size=corners.size))
+    return ApproxTransport(tuple(comps)), corners, np.array(flat).reshape(corners.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_map())
+def test_forward_pins_the_corners(map_points):
+    # eval gives x_k = +-1 back exactly, whatever the prefix, so forward
+    # returns every corner of the cube unchanged
+    tmap, corners, inner = map_points
+    for comp in tmap.components:
+        k = comp.k
+        x = np.concatenate([inner[:, :k - 1], corners[:, k - 1:k]], axis=1)
+        assume(_normalizable(comp, x[:, :-1])
+               and _normalizable(comp, corners[:, :k - 1]))
+        assert np.array_equal(comp.eval(x), x[:, -1])
+    assert np.array_equal(tmap.forward(corners), corners)
 
 
 def _pullback_per_component(tmap, y):
@@ -782,6 +819,29 @@ def test_projection_grids_of_the_truncation_sweep():
             if lam.members:
                 total += projection_grid(lam, xi).size
     assert total == 4_525
+
+
+def test_truncate_is_a_fresh_fit_with_the_fine_coefficients():
+    # the d = 12 truncation map at 3e-4 and the coarser epsilons of its sweep
+    from krtransport.studies import truncation_target
+
+    pi = truncation_target(0.5 * 6 / np.pi**2, 3.0, 12)
+    rho, xi = uniform(12), xi_from_anisotropy(pi.anisotropy, 1.0)
+    exact = ExactTransport(reference=rho, target=pi)
+    fine = build_approx_transport(rho, pi, xi, 3e-4, exact=exact)
+    same = fine.truncate(3e-4)
+    assert all(a is b for a, b in zip(same.components, fine.components))
+    for eps in [3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3]:
+        cut = fine.truncate(eps)
+        fresh = build_approx_transport(rho, pi, xi, eps, exact=exact)
+        assert (cut.epsilon, cut.xi, cut.n_eps) == (eps, fine.xi, fresh.n_eps)
+        for c, f, c_fine in zip(cut.components, fresh.components, fine.components):
+            assert c.lam == f.lam  # the members, so per_k_cards, and epsilon
+            assert c.p.terms == {nu: c_fine.p.terms[nu] for nu in f.lam.members}
+    with pytest.raises(ValueError, match="finer"):
+        fine.truncate(1e-4)
+    with pytest.raises(ValueError, match="epsilon and xi"):
+        ApproxTransport(fine.components, epsilon=3e-4).truncate(1e-3)
 
 
 def test_weight_vector_length_guard():

@@ -288,6 +288,12 @@ POSTERIOR2 = {"A": [[1.0, 0.5]], "varsigma": [0.3], "sigma": 0.8,
     (["approx", "build"], BUILD2, {"reference": {"family": "uniform", "d": 2.5}}),
     (["distance"], {"f": {"family": "linear", "c": [0.4]}},
      {"g": {"family": "uniform", "d": True}}),
+    (["study", "posterior"], POSTERIOR2, {"A": [[True, 0.5]]}),
+    (["study", "posterior"], POSTERIOR2, {"varsigma": [True]}),
+    (["transport", "eval"], EVAL2, {"target": {"family": "linear", "c": [0.3, False]}}),
+    (["approx", "build"], BUILD2, {"xi": {"anisotropy": [True, 0.2]}}),
+    (["approx", "build"], BUILD2, {"xi": [2.0, True]}),
+    (["transport", "eval"], EVAL2, {"points": [[True, 0.2]]}),
 ], ids=["epsilon_above_one", "epsilon_zero", "n_samples_negative",
         "n_samples_fractional", "n_samples_boolean", "seed_negative", "d_max_zero", "n_cloud_zero",
         "alpha_negative", "epsilon_list_above_one", "distance_grid_order_zero",
@@ -296,7 +302,9 @@ POSTERIOR2 = {"A": [[1.0, 0.5]], "varsigma": [0.3], "sigma": 0.8,
         "posterior_A_not_numeric", "posterior_d5", "posterior_zero_column",
         "posterior_one_sample", "xi_too_short", "xi_anisotropy_too_short",
         "s_boolean", "alpha_boolean", "posterior_sigma_boolean",
-        "xi_alpha_boolean", "uniform_d_fractional", "uniform_d_boolean"])
+        "xi_alpha_boolean", "uniform_d_fractional", "uniform_d_boolean",
+        "posterior_A_boolean", "posterior_varsigma_boolean", "linear_c_boolean",
+        "xi_anisotropy_boolean", "xi_list_boolean", "points_boolean"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, base, spec):
     cfg = _write(tmp_path, "r.json", {**base, **spec})
     assert _run(["--config", cfg, "--out", tmp_path / "o", *command]) == 2

@@ -29,13 +29,17 @@ from krtransport.transport import ExactTransport
 EPS_LIST = [0.1, 0.03, 0.01, 0.003]
 
 
-def _small_study(**kw):
+def _small_study_at(eps_list, **kw):
     pi = linear_density([0.3, 0.2])
     rho = uniform(2)
     xi = xi_from_anisotropy(pi.anisotropy, 0.5)
     defaults = dict(seed=7, n_cloud=64, distance_grid_order=12)
     defaults.update(kw)
-    return convergence_study(rho, pi, xi, EPS_LIST, **defaults)
+    return convergence_study(rho, pi, xi, eps_list, **defaults)
+
+
+def _small_study(**kw):
+    return _small_study_at(EPS_LIST, **kw)
 
 
 def test_rng_is_philox():
@@ -103,6 +107,16 @@ def test_convergence_study_errors_decrease():
     assert all(r.wall_ms == 0.0 for r in records)
 
 
+def test_convergence_study_with_a_non_uniform_reference():
+    # rho is linear too, so T is no conditional CDF of pi alone; fits at
+    # each epsilon read sup_err_T 2.6e-2 -> 6.1e-7, slope -1.41, R^2 0.9988
+    rho, pi = linear_density([0.3, -0.2]), linear_density([0.2, 0.3])
+    records, fit = convergence_study(rho, pi, xi_from_anisotropy(pi.anisotropy, 0.5),
+                                     [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    assert fit.slope < 0 and fit.r_squared >= 0.99
+    assert records[-1].sup_err_T <= 1e-6
+
+
 def test_convergence_study_distance_consistency():
     records, _ = _small_study()
     for r in records:
@@ -157,16 +171,24 @@ def test_truncation_study_small():
     assert all(r.distances is None for r in records)
 
 
-def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=512):
+def _truncation_records_per_eps(amplitude, s, d_max, eps_list, fit_once=True,
+                                seed=0, n_cloud=512):
     """The truncation sweep with the cloud drawn and solved again for each
-    epsilon: what truncation_study computes once per study."""
+    epsilon, and each map read through the checked ``component`` and
+    ``diag_deriv``: what truncation_study computes once per study. Each
+    map is the truncation of one fit at the smallest epsilon or, with
+    fit_once=False, a fit of its own."""
     c = amplitude * np.arange(1, d_max + 1, dtype=np.float64) ** (-float(s))
     pi, rho = linear_density(c), uniform(d_max)
     exact = ExactTransport(reference=rho, target=pi)
     xi = xi_from_anisotropy(pi.anisotropy, 1.0)
+    fine = build_approx_transport(rho, pi, xi, min(eps_list), exact=exact)
     records = []
     for eps in eps_list:
-        approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
+        if fit_once:
+            approx = fine.truncate(eps)
+        else:
+            approx = build_approx_transport(rho, pi, xi, eps, exact=exact)
         pts = rng_from_seed(seed).uniform(-1.0, 1.0, size=(n_cloud, d_max))
         y, D = exact._solve(rho, pi, pts, d_max)
         agg_t = agg_dt = 0.0
@@ -181,8 +203,9 @@ def _truncation_records_per_eps(amplitude, s, d_max, eps_list, seed=0, n_cloud=5
 def test_truncation_study_solves_reference_once(monkeypatch):
     eps_list = [1e-1, 1e-2, 1e-3]
     expect = records_to_csv(_truncation_records_per_eps(0.3, 2.0, 8, eps_list))
+    finest = _truncation_records_per_eps(0.3, 2.0, 8, eps_list, fit_once=False)[-1]
     solve, build = ExactTransport._solve, studies.build_approx_transport
-    calls = []
+    calls, builds = [], []
     fitting = [False]
 
     def counted(self, src, dst, x, kmax, **kwargs):
@@ -193,6 +216,7 @@ def test_truncation_study_solves_reference_once(monkeypatch):
     def uncounted_build(*args, **kwargs):
         # the fit solves on its projection grids; only the study's own
         # reference solves are counted
+        builds.append(args[3])
         fitting[0] = True
         try:
             return build(*args, **kwargs)
@@ -203,10 +227,29 @@ def test_truncation_study_solves_reference_once(monkeypatch):
     monkeypatch.setattr(studies, "build_approx_transport", uncounted_build)
     for n in (1, len(eps_list)):
         calls.clear()
+        builds.clear()
         records, _ = truncation_study(0.3, 2.0, 8, eps_list[:n])
         assert calls == [((512, 8), 8)]
-    # the shared reference leaves every record bitwise unchanged
+        assert builds == [eps_list[n - 1]]
+    # the shared reference and the one-pass scoring leave every record
+    # bitwise unchanged, and the finest record is that of its own fit
     assert records_to_csv(records) == expect
+    assert records[-1] == finest
+
+
+def test_convergence_study_fits_once(monkeypatch):
+    build = studies.build_approx_transport
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "build_approx_transport", counted)
+    records, _ = _small_study()
+    assert builds == [min(EPS_LIST)]
+    # the finest record is that of a sweep over the finest epsilon alone
+    assert records[-1] == _small_study_at([EPS_LIST[-1]])[0][0]
 
 
 def test_study_samples_the_nodes_the_fit_projected_on(monkeypatch):
