@@ -268,8 +268,13 @@ class RationalComponent:
         else:
             MC = _square_cdf_matrices(self.p.t_series[1].shape[1])[2]
             C = self._density_values(x[:, :-1])[2] @ MC
-        F = chebyshev_series(C, xk)
-        return np.where(np.abs(xk) == 1.0, xk, np.clip(2.0 * F - 1.0, -1.0, 1.0))
+        y = 2.0 * chebyshev_series(C, xk) - 1.0
+        # in place, with no np.clip or np.where: their temporaries and call
+        # overhead cost about 10% of a 1000-point forward of a d = 3 map
+        np.minimum(y, 1.0, out=y)
+        np.maximum(y, -1.0, out=y)
+        np.copyto(y, xk, where=np.abs(xk) == 1.0)
+        return y
 
     def deriv(self, x) -> np.ndarray:
         """d/dx_k Tt_k = 2 q(x_k)^2 / c_k with q summed at the point, so
