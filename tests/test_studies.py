@@ -29,17 +29,13 @@ from krtransport.transport import ExactTransport
 EPS_LIST = [0.1, 0.03, 0.01, 0.003]
 
 
-def _small_study_at(eps_list, **kw):
+def _small_study(eps_list=EPS_LIST, **kw):
     pi = linear_density([0.3, 0.2])
     rho = uniform(2)
     xi = xi_from_anisotropy(pi.anisotropy, 0.5)
     defaults = dict(seed=7, n_cloud=64, distance_grid_order=12)
     defaults.update(kw)
     return convergence_study(rho, pi, xi, eps_list, **defaults)
-
-
-def _small_study(**kw):
-    return _small_study_at(EPS_LIST, **kw)
 
 
 def test_rng_is_philox():
@@ -108,8 +104,8 @@ def test_convergence_study_errors_decrease():
 
 
 def test_convergence_study_with_a_non_uniform_reference():
-    # rho is linear too, so T is no conditional CDF of pi alone; fits at
-    # each epsilon read sup_err_T 2.6e-2 -> 6.1e-7, slope -1.41, R^2 0.9988
+    # rho is linear too, so T is no conditional CDF of pi alone; the sweep
+    # reads sup_err_T 2.6e-2 -> 6.1e-7, slope -1.41, R^2 0.9988
     rho, pi = linear_density([0.3, -0.2]), linear_density([0.2, 0.3])
     records, fit = convergence_study(rho, pi, xi_from_anisotropy(pi.anisotropy, 0.5),
                                      [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -249,7 +245,7 @@ def test_convergence_study_fits_once(monkeypatch):
     records, _ = _small_study()
     assert builds == [min(EPS_LIST)]
     # the finest record is that of a sweep over the finest epsilon alone
-    assert records[-1] == _small_study_at([EPS_LIST[-1]])[0][0]
+    assert records[-1] == _small_study([EPS_LIST[-1]])[0][0]
 
 
 def test_study_samples_the_nodes_the_fit_projected_on(monkeypatch):
